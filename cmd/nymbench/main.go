@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	nymbench [-seed N] [-run all|fig3|fig4|fig5|fig6|fig7|table1|validation|ablations|vault|fleet|shards|elastic|sweeps|partition|censorship|economy|summary]
+//	nymbench [-seed N] [-run all|fig3|fig4|fig5|fig6|fig7|table1|validation|ablations|vault|fleet|shards|elastic|sweeps|economy|partition|censorship|mixnet|summary]
 //	         [-nyms N] [-hosts N]   # shards sizing (default 1024 over 4); elastic sizing (default 96 over 2)
 //	         [-rounds N]            # sweeps: steady-state rounds (default 8); -nyms sizes the sweep fleet (default 32)
 //	                                # economy: churn rounds (default 16); -nyms/-hosts size the pool (default 1024 over 4)
@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"nymix/internal/experiments"
@@ -44,186 +45,105 @@ type benchFile struct {
 	Results   []benchResult `json:"results"`
 }
 
+// runner produces one experiment: the rendered text and the
+// structured rows behind it, which the JSON emitter serialises
+// verbatim.
+type runner func(seed uint64) (string, any, error)
+
+// adapt turns an experiment and its renderer into a runner.
+func adapt[T any](run func(uint64) (T, error), render func(T) string) runner {
+	return func(seed uint64) (string, any, error) {
+		res, err := run(seed)
+		if err != nil {
+			return "", nil, err
+		}
+		return render(res), res, nil
+	}
+}
+
 func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed")
-	run := flag.String("run", "all", "experiment to run: all, fig3, fig4, fig5, fig6, fig7, table1, validation, ablations, vault, fleet, shards, elastic, sweeps, partition, censorship, mixnet, economy, summary")
-	nyms := flag.Int("nyms", 0, "shards: fleet size (0 = 1024); elastic: burst size (0 = 96); sweeps: fleet size (0 = 32)")
-	hosts := flag.Int("hosts", 0, "shards: pool size (0 = 4); elastic: initial pool (0 = 2)")
-	rounds := flag.Int("rounds", 0, "sweeps: steady-state rounds (0 = 8)")
+	nyms := flag.Int("nyms", 0, "shards/economy: fleet size (0 = 1024); elastic: burst size (0 = 96); sweeps: fleet size (0 = 32)")
+	hosts := flag.Int("hosts", 0, "shards/economy: pool size (0 = 4); elastic: initial pool (0 = 2)")
+	rounds := flag.Int("rounds", 0, "sweeps: steady-state rounds (0 = 8); economy: churn rounds (0 = 16)")
 	emitJSON := flag.Bool("json", false, "write BENCH_<run>.json next to the text output")
-	flag.Parse()
 
-	// Each runner returns the rendered text and the structured rows
-	// behind it; the JSON emitter serialises the latter verbatim.
-	runners := map[string]func(uint64) (string, any, error){
-		"fig3": func(s uint64) (string, any, error) {
-			rows, err := experiments.Figure3(s)
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderFigure3(rows), rows, nil
-		},
-		"fig4": func(s uint64) (string, any, error) {
-			rows, err := experiments.Figure4(s)
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderFigure4(rows), rows, nil
-		},
-		"fig5": func(s uint64) (string, any, error) {
-			rows, err := experiments.Figure5(s)
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderFigure5(rows), rows, nil
-		},
-		"fig6": func(s uint64) (string, any, error) {
-			series, err := experiments.Figure6(s)
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderFigure6(series), series, nil
-		},
-		"fig7": func(s uint64) (string, any, error) {
-			rows, err := experiments.Figure7(s)
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderFigure7(rows), rows, nil
-		},
-		"table1": func(s uint64) (string, any, error) {
-			rows, err := experiments.Table1(s)
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderTable1(rows), rows, nil
-		},
-		"validation": func(s uint64) (string, any, error) {
-			report, err := experiments.Validation(s)
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderValidation(report), report, nil
-		},
-		"ablations": func(s uint64) (string, any, error) {
-			exposure := experiments.AblationGuardExposure(s, 0.05)
-			out := experiments.RenderGuardExposure(exposure, 0.05)
-			stains, err := experiments.AblationStaining(s)
-			if err != nil {
-				return "", nil, err
-			}
-			out += "\n" + experiments.RenderStaining(stains)
-			linkage, err := experiments.AblationLinkage(s)
-			if err != nil {
-				return "", nil, err
-			}
-			out += "\n" + experiments.RenderLinkage(linkage)
-			buddies := experiments.AblationBuddies(s, 4, 12)
-			out += "\n" + experiments.RenderBuddies(buddies, 4)
-			return out, map[string]any{
-				"guard_exposure": exposure,
-				"staining":       stains,
-				"linkage":        linkage,
-				"buddies":        buddies,
-			}, nil
-		},
-		"vault": func(s uint64) (string, any, error) {
-			rows, err := experiments.VaultIncremental(s)
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderVaultIncremental(rows), rows, nil
-		},
-		"fleet": func(s uint64) (string, any, error) {
-			rows, err := experiments.FleetRampUp(s)
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderFleetRampUp(rows), rows, nil
-		},
-		"shards": func(s uint64) (string, any, error) {
-			rows, err := experiments.FleetShards(s, *nyms, *hosts)
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderFleetShards(rows), rows, nil
-		},
-		"elastic": func(s uint64) (string, any, error) {
-			res, err := experiments.Elastic(s, *nyms, *hosts)
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderElastic(res), res, nil
-		},
-		"sweeps": func(s uint64) (string, any, error) {
-			res, err := experiments.SweepSteadyState(s, *nyms, *rounds)
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderSweepSteadyState(res), res, nil
-		},
-		"partition": func(s uint64) (string, any, error) {
-			res, err := experiments.Partition(s)
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderPartition(res), res, nil
-		},
-		"censorship": func(s uint64) (string, any, error) {
-			res, err := experiments.CensorshipDPI(s)
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderCensorshipDPI(res), res, nil
-		},
-		"economy": func(s uint64) (string, any, error) {
+	// The experiments in -run all order.
+	runners := []struct {
+		name string
+		run  runner
+	}{
+		{"fig3", adapt(experiments.Figure3, experiments.RenderFigure3)},
+		{"fig4", adapt(experiments.Figure4, experiments.RenderFigure4)},
+		{"fig5", adapt(experiments.Figure5, experiments.RenderFigure5)},
+		{"fig6", adapt(experiments.Figure6, experiments.RenderFigure6)},
+		{"fig7", adapt(experiments.Figure7, experiments.RenderFigure7)},
+		{"table1", adapt(experiments.Table1, experiments.RenderTable1)},
+		{"validation", adapt(experiments.Validation, experiments.RenderValidation)},
+		{"ablations", ablations},
+		{"vault", adapt(experiments.VaultIncremental, experiments.RenderVaultIncremental)},
+		{"fleet", adapt(func(s uint64) ([]experiments.FleetScale, error) {
+			return experiments.FleetRampUp(s)
+		}, experiments.RenderFleetRampUp)},
+		{"shards", adapt(func(s uint64) ([]experiments.ShardScale, error) {
+			return experiments.FleetShards(s, *nyms, *hosts)
+		}, experiments.RenderFleetShards)},
+		{"elastic", adapt(func(s uint64) (*experiments.ElasticResult, error) {
+			return experiments.Elastic(s, *nyms, *hosts)
+		}, experiments.RenderElastic)},
+		{"sweeps", adapt(func(s uint64) (experiments.SweepSteady, error) {
+			return experiments.SweepSteadyState(s, *nyms, *rounds)
+		}, experiments.RenderSweepSteadyState)},
+		{"economy", adapt(func(s uint64) (*experiments.EconomyResult, error) {
 			res, err := experiments.Economy(s, *nyms, *hosts, *rounds)
 			if err != nil {
-				return "", nil, err
+				return nil, err
 			}
 			// The economy run is also the gate: adaptive cadence must
 			// strictly beat fixed-interval on total wire with staleness
 			// p95 no worse, or the bench itself fails.
-			if err := res.Gate(); err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderEconomy(res), res, nil
-		},
-		"mixnet": func(s uint64) (string, any, error) {
-			res, err := experiments.MixnetFrontier(s)
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderMixnetFrontier(res), res, nil
-		},
-		"summary": summary,
+			return res, res.Gate()
+		}, experiments.RenderEconomy)},
+		{"partition", adapt(experiments.Partition, experiments.RenderPartition)},
+		{"censorship", adapt(experiments.CensorshipDPI, experiments.RenderCensorshipDPI)},
+		{"mixnet", adapt(experiments.MixnetFrontier, experiments.RenderMixnetFrontier)},
+		{"summary", summary},
 	}
+	names := []string{"all"}
+	for _, r := range runners {
+		names = append(names, r.name)
+	}
+	run := flag.String("run", "all", "experiment to run: "+strings.Join(names, ", "))
+	flag.Parse()
 
-	order := []string{"fig3", "fig4", "fig5", "fig6", "fig7", "table1", "validation", "ablations", "vault", "fleet", "shards", "elastic", "sweeps", "economy", "partition", "censorship", "mixnet", "summary"}
-	var selected []string
-	if *run == "all" {
-		selected = order
-	} else if _, ok := runners[*run]; ok {
-		selected = []string{*run}
-	} else {
-		fmt.Fprintf(os.Stderr, "nymbench: unknown experiment %q\n", *run)
-		os.Exit(2)
+	selected := runners
+	if *run != "all" {
+		selected = nil
+		for _, r := range runners {
+			if r.name == *run {
+				selected = append(selected, r)
+			}
+		}
+		if selected == nil {
+			fmt.Fprintf(os.Stderr, "nymbench: unknown experiment %q\n", *run)
+			os.Exit(2)
+		}
 	}
 	bench := benchFile{Run: *run, Seed: *seed, GoVersion: runtime.Version()}
-	for _, name := range selected {
+	for _, r := range selected {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		out, result, err := runners[name](*seed)
+		out, result, err := r.run(*seed)
 		wall := time.Since(start)
 		runtime.ReadMemStats(&after)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "nymbench: %s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "nymbench: %s: %v\n", r.name, err)
 			os.Exit(1)
 		}
 		fmt.Println(out)
 		bench.Results = append(bench.Results, benchResult{
-			Name:       name,
+			Name:       r.name,
 			Seed:       *seed,
 			WallMS:     float64(wall.Microseconds()) / 1000,
 			Allocs:     after.Mallocs - before.Mallocs,
@@ -244,6 +164,30 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "nymbench: wrote %s\n", path)
 	}
+}
+
+// ablations runs the four design ablations as one report.
+func ablations(s uint64) (string, any, error) {
+	exposure := experiments.AblationGuardExposure(s, 0.05)
+	out := experiments.RenderGuardExposure(exposure, 0.05)
+	stains, err := experiments.AblationStaining(s)
+	if err != nil {
+		return "", nil, err
+	}
+	out += "\n" + experiments.RenderStaining(stains)
+	linkage, err := experiments.AblationLinkage(s)
+	if err != nil {
+		return "", nil, err
+	}
+	out += "\n" + experiments.RenderLinkage(linkage)
+	buddies := experiments.AblationBuddies(s, 4, 12)
+	out += "\n" + experiments.RenderBuddies(buddies, 4)
+	return out, map[string]any{
+		"guard_exposure": exposure,
+		"staining":       stains,
+		"linkage":        linkage,
+		"buddies":        buddies,
+	}, nil
 }
 
 // summary reproduces the abstract's headline numbers from the

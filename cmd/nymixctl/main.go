@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -41,53 +42,72 @@ import (
 func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	anonymizer := flag.String("anonymizer", "tor", "anonymizer for the demo nym: tor, dissent, incognito, sweet, tor-bridge, mixnet")
-	nyms := flag.Int("nyms", 24, "fleet size for the fleet command")
+	nyms := flag.Int("nyms", 24, "fleet size for the fleet, cluster, elastic, sweeps and status commands")
 	flag.Parse()
 
+	var err error
 	switch flag.Arg(0) {
 	case "demo", "":
-		if err := demo(*seed, *anonymizer); err != nil {
-			fmt.Fprintf(os.Stderr, "nymixctl: %v\n", err)
-			os.Exit(1)
-		}
+		err = demo(os.Stdout, *seed, *anonymizer)
 	case "fleet":
-		if err := fleetDemo(*seed, *nyms); err != nil {
-			fmt.Fprintf(os.Stderr, "nymixctl: %v\n", err)
-			os.Exit(1)
-		}
+		err = fleetDemo(os.Stdout, *seed, *nyms)
 	case "cluster":
-		if err := clusterDemo(*seed, *nyms); err != nil {
-			fmt.Fprintf(os.Stderr, "nymixctl: %v\n", err)
-			os.Exit(1)
-		}
+		err = clusterDemo(os.Stdout, *seed, *nyms)
 	case "elastic":
-		if err := elasticDemo(*seed, *nyms); err != nil {
-			fmt.Fprintf(os.Stderr, "nymixctl: %v\n", err)
-			os.Exit(1)
-		}
+		err = elasticDemo(os.Stdout, *seed, *nyms)
 	case "sweeps":
-		if err := sweepsDemo(*seed, *nyms); err != nil {
-			fmt.Fprintf(os.Stderr, "nymixctl: %v\n", err)
-			os.Exit(1)
-		}
+		err = sweepsDemo(os.Stdout, *seed, *nyms)
 	case "status":
-		if err := statusDemo(*seed, *nyms); err != nil {
-			fmt.Fprintf(os.Stderr, "nymixctl: %v\n", err)
-			os.Exit(1)
-		}
+		err = statusDemo(os.Stdout, *seed, *nyms)
 	case "scrub":
 		if flag.NArg() < 2 {
 			fmt.Fprintln(os.Stderr, "nymixctl scrub: need a file path")
 			os.Exit(2)
 		}
-		if err := scrubFile(flag.Arg(1)); err != nil {
-			fmt.Fprintf(os.Stderr, "nymixctl: %v\n", err)
-			os.Exit(1)
-		}
+		err = scrubFile(flag.Arg(1))
 	default:
 		fmt.Fprintf(os.Stderr, "nymixctl: unknown command %q\n", flag.Arg(0))
 		os.Exit(2)
 	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "nymixctl: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// narrate prints one line of a demo's narration, stamped with the
+// sim clock.
+type narrate func(format string, args ...any)
+
+// run drives script as a demo's one simulated process on eng,
+// narrating to w, and returns the script's error.
+func run(w io.Writer, eng *sim.Engine, name string, script func(p *sim.Proc, say narrate) error) error {
+	say := func(format string, args ...any) {
+		fmt.Fprintf(w, "[t=%8.1fs] "+format+"\n", append([]any{eng.Now().Seconds()}, args...)...)
+	}
+	return experiments.RunProc(eng, name, func(p *sim.Proc) error { return script(p, say) })
+}
+
+// firstMember names the first member, in host then launch order, that
+// ok accepts ("" if none does).
+func firstMember(c *cluster.Cluster, ok func(m *fleet.Member) bool) string {
+	for _, h := range c.Hosts() {
+		for _, m := range h.Fleet().Members() {
+			if ok(m) {
+				return m.Name()
+			}
+		}
+	}
+	return ""
+}
+
+// otherHost is the first of the cluster's first two hosts that is not h.
+func otherHost(c *cluster.Cluster, h *cluster.Host) *cluster.Host {
+	hosts := c.Hosts()
+	if hosts[0] == h {
+		return hosts[1]
+	}
+	return hosts[0]
 }
 
 // scrubFile runs the sanitize suite against a real on-disk file.
@@ -117,37 +137,28 @@ func scrubFile(path string) error {
 }
 
 // demo runs the full scripted session.
-func demo(seed uint64, anonymizer string) error {
-	eng := sim.NewEngine(seed)
-	_, world := webworld.BuildDefault(eng)
-	mgr, err := core.NewManager(eng, world, hypervisor.DefaultConfig())
+func demo(w io.Writer, seed uint64, anonymizer string) error {
+	eng, _, mgr, err := experiments.NewRig(seed)
 	if err != nil {
 		return err
 	}
-	say := func(format string, args ...interface{}) {
-		fmt.Printf("[t=%8.1fs] "+format+"\n", append([]interface{}{eng.Now().Seconds()}, args...)...)
-	}
-	var demoErr error
-	eng.Go("demo", func(p *sim.Proc) {
+	return run(w, eng, "demo", func(p *sim.Proc, say narrate) error {
 		dest := core.StoreDest{Provider: "dropbin", Account: "anon-9134", AccountPassword: "cloud-pw"}
 
 		say("nymix booted; starting a fresh %s nym", anonymizer)
 		nym, err := mgr.StartNym(p, "demo", core.Options{Model: core.ModelPersistent, Anonymizer: anonymizer})
 		if err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		ph := nym.Phases()
 		say("nymbox up: boot %.1fs, %s start %.1fs", ph.BootVM.Seconds(), anonymizer, ph.StartAnon.Seconds())
 
 		if _, err := nym.Browser().Login(p, "twitter.com", "pseudonym-47", "tw-pw"); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("logged in to twitter.com as pseudonym-47 (exit identity: %s)", nym.Anonymizer().ExitIdentity())
 		if _, err := nym.Browser().Post(p, "twitter.com", "hello from a nymbox"); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("posted; server-side cookie bound to this nym only")
 		if cov, ok := nym.Anonymizer().(interface {
@@ -167,43 +178,36 @@ func demo(seed uint64, anonymizer string) error {
 			"/users/me/photos/protest.jpg": photo,
 		})
 		if err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		report, err := mgr.TransferFile(p, installed, "/users/me/photos/protest.jpg", nym, sanitize.AllOptions)
 		if err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("SaniVM transfer: %d risk(s) found, applied %v, residual %d",
 			len(report.RisksFound), report.Applied, len(report.Residual))
 		if _, err := nym.Browser().Upload(p, "twitter.com", []byte("scrubbed")); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("uploaded the scrubbed photo")
 
 		size, err := mgr.StoreNym(p, nym, "nym-password", dest)
 		if err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("nym stored to %s: %.1f MB encrypted", dest.Provider, float64(size)/(1<<20))
 		if err := mgr.TerminateNym(p, nym); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("nym terminated: memory wiped, host holds %d nyms", mgr.RunningNyms())
 
 		restored, err := mgr.LoadNym(p, "demo", "nym-password", core.Options{Model: core.ModelPersistent, Anonymizer: anonymizer}, dest)
 		if err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("nym restored from the cloud (ephemeral loader took %.1fs)", restored.Phases().EphemeralNym.Seconds())
 		if _, err := restored.Browser().LoginSaved(p, "twitter.com"); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("signed back in with stored credentials — no retyping, no habit to slip on")
 
@@ -213,104 +217,75 @@ func demo(seed uint64, anonymizer string) error {
 		vdest := core.VaultDest{Providers: []string{"dropbin", "gdrive"}, Account: "anon-9134", AccountPassword: "cloud-pw"}
 		stats, err := mgr.StoreNymVault(p, restored, "nym-password", vdest)
 		if err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("NymVault checkpoint: %d chunks, %.1f MB uploaded, replicated to %d providers",
 			stats.TotalChunks, float64(stats.UploadedBytes)/(1<<20), len(vdest.Providers))
 		if _, err := restored.Visit(p, "twitter.com"); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		stats, err = mgr.StoreNymVault(p, restored, "nym-password", vdest)
 		if err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("NymVault delta save after browsing: %d chunk uploads across the replicas (set of %d), %.2f MB uploaded (%.0f%% dedup; monolithic re-upload would be %.1f MB)",
 			stats.NewChunks, stats.TotalChunks, float64(stats.UploadedBytes)/(1<<20),
 			100*stats.DedupFrac(), float64(stats.BaselineWireBytes)/(1<<20))
 		if err := mgr.TerminateNym(p, restored); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		final, err := mgr.LoadNymVault(p, "demo", "nym-password", core.Options{Model: core.ModelPersistent, Anonymizer: anonymizer}, vdest)
 		if err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("nym restored from the vault, every chunk authenticated against the sealed manifest")
 		if err := mgr.TerminateNym(p, final); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("session over; local media carries no nym state")
+		return nil
 	})
-	eng.Run()
-	return demoErr
 }
 
 // clusterDemo shards a fleet over two simulated hosts, then walks the
 // multi-host story: placement across the pool, a live vault-backed
 // migration that preserves the nym's pseudonym identity end to end,
 // and the reservation accounting on both sides of the move.
-func clusterDemo(seed uint64, n int) error {
+func clusterDemo(w io.Writer, seed uint64, n int) error {
 	if n < 4 {
 		n = 4
 	}
-	eng := sim.NewEngine(seed)
-	_, world := webworld.BuildDefault(eng)
-	c, err := cluster.New(eng, world, experiments.ShardClusterConfig(2, cluster.LeastReserved{}))
+	eng, world, c, err := experiments.NewClusterRig(seed, experiments.ShardClusterConfig(2, cluster.LeastReserved{}))
 	if err != nil {
 		return err
 	}
-	say := func(format string, args ...interface{}) {
-		fmt.Printf("[t=%8.1fs] "+format+"\n", append([]interface{}{eng.Now().Seconds()}, args...)...)
-	}
-	var demoErr error
-	eng.Go("cluster-demo", func(p *sim.Proc) {
+	return run(w, eng, "cluster-demo", func(p *sim.Proc, say narrate) error {
 		hosts := c.Hosts()
 		say("cluster up: %d hosts, %.1f GiB admissible each", len(hosts),
 			float64(hosts[0].Fleet().RAMBudgetBytes())/(1<<30))
 		if err := c.LaunchAll(experiments.FleetSpecs(n)); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		if err := c.AwaitRunning(p, n); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		st := c.Snapshot()
 		say("%d nyms running, placed %v by %s", st.Running, st.PerHostRunning, "least-reserved")
 
 		// Pick a persistent nym and give it identity worth preserving.
-		var name string
-		for _, h := range hosts {
-			for _, m := range h.Fleet().Members() {
-				if m.Nym() != nil && m.Nym().Model() == core.ModelPersistent {
-					name = m.Name()
-					break
-				}
-			}
-			if name != "" {
-				break
-			}
-		}
+		name := firstMember(c, func(m *fleet.Member) bool {
+			return m.Nym() != nil && m.Nym().Model() == core.ModelPersistent
+		})
 		src := c.HostOf(name)
-		dst := hosts[0]
-		if dst == src {
-			dst = hosts[1]
-		}
+		dst := otherHost(c, src)
 		if _, err := c.Member(name).Nym().Browser().Login(p, "twitter.com", "roamer", "pw"); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("%s (on %s) logged in to twitter.com as roamer", name, src.Name())
 
 		rep, err := c.MigrateNym(p, name, dst.Name())
 		if err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("migrated %s: %s -> %s via the vault (%.1f MB cross-host wire)",
 			name, rep.From, rep.To, float64(rep.WireBytes)/(1<<20))
@@ -319,8 +294,7 @@ func clusterDemo(seed uint64, n int) error {
 			float64(src.Fleet().ReservedBytes())/(1<<30), dst.Name(), dst.Fleet().Running())
 		m := c.Member(name)
 		if _, err := m.Nym().Visit(p, "twitter.com"); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		visits := world.Site("twitter.com").Visits()
 		say("twitter sees cookie %q from the new host — same pseudonym, different machine",
@@ -329,14 +303,12 @@ func clusterDemo(seed uint64, n int) error {
 			say("stored credentials (%s) crossed hosts inside the sealed checkpoint", cred.Account)
 		}
 		if err := c.StopAll(p); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("cluster drained; %d migration(s) total, %.1f MB cross-host wire",
 			c.Migrations(), float64(c.MigrationWireBytes())/(1<<20))
+		return nil
 	})
-	eng.Run()
-	return demoErr
 }
 
 // elasticDemo walks the elastic-pool story on small (2 GiB) hosts so
@@ -346,7 +318,7 @@ func clusterDemo(seed uint64, n int) error {
 // ephemeral nym for it; the wave quiesces and the autoscaler drains
 // the pool back to the floor, migrating the survivors through the
 // vault.
-func elasticDemo(seed uint64, n int) error {
+func elasticDemo(w io.Writer, seed uint64, n int) error {
 	// A 2 GiB host holds ~6 density-tuned nymboxes; ceiling is 3 hosts.
 	const perHost, ceiling = 6, 3
 	if n < 8 {
@@ -355,25 +327,18 @@ func elasticDemo(seed uint64, n int) error {
 	if n > perHost*ceiling {
 		n = perHost * ceiling
 	}
-	eng := sim.NewEngine(seed)
-	_, world := webworld.BuildDefault(eng)
 	cfg := experiments.ElasticClusterConfig(1, true)
 	cfg.HostConfig = hypervisor.Config{RAMBytes: 2 << 30, CPU: cpusched.Config{Cores: 4, SMTFactor: 1.3}}
-	c, err := cluster.New(eng, world, cfg)
+	eng, _, c, err := experiments.NewClusterRig(seed, cfg)
 	if err != nil {
 		return err
 	}
-	say := func(format string, args ...interface{}) {
-		fmt.Printf("[t=%8.1fs] "+format+"\n", append([]interface{}{eng.Now().Seconds()}, args...)...)
-	}
-	var demoErr error
-	eng.Go("elastic-demo", func(p *sim.Proc) {
+	return run(w, eng, "elastic-demo", func(p *sim.Proc, say narrate) error {
 		say("pool up: %d host (floor %d, ceiling %d), %.1f GiB admissible",
 			c.ActiveHosts(), 1, ceiling, float64(c.Hosts()[0].Fleet().RAMBudgetBytes())/(1<<30))
 		say("launching a %d-nym burst (system > persistent > ephemeral classes)", n)
 		if err := c.LaunchAll(experiments.ElasticSpecs(n)); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		c.AwaitSettled(p)
 		st := c.Snapshot()
@@ -395,14 +360,12 @@ func elasticDemo(seed uint64, n int) error {
 		vip.Opts.GuardSeed = "vip"
 		say("VIP system-class launch arrives with the pool saturated at the ceiling")
 		if err := c.Launch(vip); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		for c.Member("vip") == nil || c.Member("vip").State() != fleet.StateRunning {
 			c.AwaitSettled(p)
 			if m := c.Member("vip"); m != nil && m.State() == fleet.StateFailed {
-				demoErr = fmt.Errorf("vip launch failed: %v", m.LastErr())
-				return
+				return fmt.Errorf("vip launch failed: %v", m.LastErr())
 			}
 		}
 		st = c.Snapshot()
@@ -413,22 +376,7 @@ func elasticDemo(seed uint64, n int) error {
 		// to the floor, migrating the persistent survivors via the vault.
 		say("burst quiesces: stopping every ephemeral-class nym")
 		preMoves, preWire := c.Migrations(), c.MigrationWireBytes()
-		var stops []*sim.Future[struct{}]
-		for _, h := range c.Hosts() {
-			h := h
-			for _, m := range h.Fleet().Members() {
-				if m.State() != fleet.StateRunning || m.Priority() != fleet.PriorityEphemeral {
-					continue
-				}
-				name := m.Name()
-				stops = append(stops, eng.Go("stop-"+name, func(sp *sim.Proc) {
-					h.Fleet().Stop(sp, name)
-				}))
-			}
-		}
-		for _, f := range stops {
-			sim.Await(p, f)
-		}
+		experiments.QuiesceEphemeral(p, c)
 		c.AwaitSettled(p)
 		st = c.Snapshot()
 		say("drained to the floor: %d active host(s), %d retired; %d drain migration(s), %.1f MB vault wire",
@@ -440,40 +388,30 @@ func elasticDemo(seed uint64, n int) error {
 		}
 		say("%d persistent/system nyms still running, identities intact across %d total migrations",
 			st.Running, st.Migrations)
+		return nil
 	})
-	eng.Run()
-	return demoErr
 }
 
 // fleetDemo ramps a supervised fleet of concurrent nyms: parallel
 // admission-controlled startup, an injected nymbox failure revived by
 // the restart policy, a staggered NymVault save sweep over the
 // persistent members, and a parallel teardown.
-func fleetDemo(seed uint64, n int) error {
+func fleetDemo(w io.Writer, seed uint64, n int) error {
 	if n < 2 {
 		n = 2
 	}
-	eng := sim.NewEngine(seed)
-	_, world := webworld.BuildDefault(eng)
-	mgr, err := core.NewManager(eng, world, experiments.FleetHostConfig())
+	eng, mgr, o, err := experiments.NewFleetRig(seed)
 	if err != nil {
 		return err
 	}
-	o := fleet.New(mgr, fleet.Config{Restart: fleet.DefaultRestartPolicy()})
-	say := func(format string, args ...interface{}) {
-		fmt.Printf("[t=%8.1fs] "+format+"\n", append([]interface{}{eng.Now().Seconds()}, args...)...)
-	}
-	var demoErr error
-	eng.Go("fleet-demo", func(p *sim.Proc) {
+	return run(w, eng, "fleet-demo", func(p *sim.Proc, say narrate) error {
 		say("launching %d nyms (budget %.1f GiB RAM, %d-wide start gate)",
 			n, float64(o.RAMBudgetBytes())/(1<<30), o.StartGateWidth())
 		if _, err := o.LaunchAll(experiments.FleetSpecs(n)); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		if err := o.AwaitRunning(p, n); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		var slowest time.Duration
 		for _, m := range o.Members() {
@@ -488,40 +426,34 @@ func fleetDemo(seed uint64, n int) error {
 		victim := o.Members()[1]
 		say("injecting a crash into %s", victim.Name())
 		if err := o.FailNym(p, victim.Name(), nil); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		if err := o.AwaitRunning(p, n); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("%s revived by the restart policy (restart %d of %d); fleet back to %d running",
 			victim.Name(), victim.Restarts(), o.Config().Restart.MaxRestarts, o.Running())
 
 		stats, err := o.SaveSweep(p, "fleet-pw", experiments.FleetVaultDest)
 		if err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("staggered save sweep: %d persistent nyms checkpointed, %.1f MB shipped over %.1fs",
 			stats.Saves, float64(stats.UploadedBytes)/(1<<20), stats.Elapsed.Seconds())
 		stats, err = o.SaveSweep(p, "fleet-pw", experiments.FleetVaultDest)
 		if err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("steady-state sweep: %.2f MB (deltas only; monolithic re-upload would be %.1f MB)",
 			float64(stats.UploadedBytes)/(1<<20), float64(stats.BaselineBytes)/(1<<20))
 
 		if err := o.StopAll(p); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("fleet stopped: %d nyms wiped, host holds %d VMs, %.1f GiB still reserved",
 			o.CountState(fleet.StateStopped), mgr.Host().VMCount(), float64(o.ReservedBytes())/(1<<30))
+		return nil
 	})
-	eng.Run()
-	return demoErr
 }
 
 // sweepsDemo runs the checkpoint sweep scheduler over an
@@ -529,44 +461,33 @@ func fleetDemo(seed uint64, n int) error {
 // that skip clean nyms — sweeps with no browsing cost nothing, a
 // browsed nym ships only its delta — converging to a small fraction
 // of what saving everything every interval would cost.
-func sweepsDemo(seed uint64, n int) error {
+func sweepsDemo(w io.Writer, seed uint64, n int) error {
 	if n < 4 {
 		n = 4
 	}
 	const interval = 30 * time.Second
-	eng := sim.NewEngine(seed)
-	_, world := webworld.BuildDefault(eng)
-	mgr, err := core.NewManager(eng, world, experiments.FleetHostConfig())
+	eng, _, o, err := experiments.NewFleetRig(seed)
 	if err != nil {
 		return err
 	}
-	o := fleet.New(mgr, fleet.Config{Restart: fleet.DefaultRestartPolicy()})
-	say := func(format string, args ...interface{}) {
-		fmt.Printf("[t=%8.1fs] "+format+"\n", append([]interface{}{eng.Now().Seconds()}, args...)...)
-	}
-	var demoErr error
-	eng.Go("sweeps-demo", func(p *sim.Proc) {
+	return run(w, eng, "sweeps-demo", func(p *sim.Proc, say narrate) error {
 		say("launching %d persistent nyms", n)
 		if _, err := o.LaunchAll(experiments.SweepSpecs(n)); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		if err := o.AwaitRunning(p, n); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		cold, err := o.SaveSweep(p, "fleet-pw", experiments.FleetVaultDest)
 		if err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("cold full checkpoint: %d nyms, %.1f MB shipped", cold.Saves, float64(cold.UploadedBytes)/(1<<20))
 
 		if err := o.StartSweeps(fleet.SweepConfig{
 			Interval: interval, Password: "fleet-pw", DestFor: experiments.FleetVaultDest,
 		}); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("sweep scheduler started (interval %s, dirty-skip on)", interval)
 		members := o.Members()
@@ -574,8 +495,7 @@ func sweepsDemo(seed uint64, n int) error {
 			if round == 2 || round == 4 {
 				m := members[round%n]
 				if _, err := m.Nym().Visit(p, "twitter.com"); err != nil {
-					demoErr = err
-					return
+					return err
 				}
 				d := m.Nym().DirtyState()
 				say("%s browsed: %d RAM pages and %.1f KB of disk dirtied since its checkpoint",
@@ -599,13 +519,11 @@ func sweepsDemo(seed uint64, n int) error {
 		say("a save-everything sweep at the same cadence would have checkpointed %d nyms every %s; dirty tracking shipped deltas only",
 			n, interval)
 		if err := o.StopAll(p); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("fleet stopped")
+		return nil
 	})
-	eng.Run()
-	return demoErr
 }
 
 // statusDemo exercises the whole failure surface on a live cluster —
@@ -615,91 +533,52 @@ func sweepsDemo(seed uint64, n int) error {
 // bucketed by its registered nymerr code (zero unclassified), ramp
 // and sweep latency percentiles, machinery rates, and checkpoint wire
 // budgets.
-func statusDemo(seed uint64, n int) error {
+func statusDemo(w io.Writer, seed uint64, n int) error {
 	if n < 4 {
 		n = 4
 	}
-	eng := sim.NewEngine(seed)
-	net, world := webworld.BuildDefault(eng)
 	cfg := experiments.ShardClusterConfig(2, cluster.LeastReserved{})
 	cfg.Fleet = fleet.Config{Restart: fleet.DefaultRestartPolicy()}
 	// Hosts alternate between two hosting regions so a partition can
 	// sever one side's provider path while the other keeps working.
-	cfg.RegionFor = func(i int) string {
-		if i%2 == 0 {
-			return "east"
-		}
-		return "west"
-	}
-	c, err := cluster.New(eng, world, cfg)
+	cfg.RegionFor = experiments.EastWestRegion
+	eng, world, c, err := experiments.NewClusterRig(seed, cfg)
 	if err != nil {
 		return err
 	}
-	say := func(format string, args ...interface{}) {
-		fmt.Printf("[t=%8.1fs] "+format+"\n", append([]interface{}{eng.Now().Seconds()}, args...)...)
-	}
-	var demoErr error
-	eng.Go("status-demo", func(p *sim.Proc) {
+	net := world.Net()
+	err = run(w, eng, "status-demo", func(p *sim.Proc, say narrate) error {
 		say("ramping %d nyms across %d hosts", n, len(c.Hosts()))
 		if err := c.LaunchAll(experiments.FleetSpecs(n)); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		if err := c.AwaitRunning(p, n); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		if err := c.StartSweeps(cluster.SweepConfig{Interval: 20 * time.Second, SaveAll: true}); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("%d running; sweep coordinator started", c.Running())
 		p.Sleep(45 * time.Second)
 
 		// Inject a nymbox crash: the restart machinery revives the nym
 		// and the failure lands in the report as fleet.crash_injected.
-		var victim string
-		for _, h := range c.Hosts() {
-			for _, m := range h.Fleet().Members() {
-				if m.State() == fleet.StateRunning {
-					victim = m.Name()
-					break
-				}
-			}
-			if victim != "" {
-				break
-			}
-		}
+		victim := firstMember(c, func(m *fleet.Member) bool { return m.State() == fleet.StateRunning })
 		if err := c.HostOf(victim).Fleet().FailNym(p, victim, nil); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("injected a crash into %s; waiting for its restart", victim)
 		if err := c.AwaitRunning(p, n); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 
 		// Move one nym across hosts through the vault.
-		mover := ""
-		for _, h := range c.Hosts() {
-			for _, m := range h.Fleet().Members() {
-				if m.State() == fleet.StateRunning && m.Nym() != nil && m.Nym().Model() == core.ModelPersistent {
-					mover = m.Name()
-					break
-				}
-			}
-			if mover != "" {
-				break
-			}
-		}
-		dst := c.Hosts()[0]
-		if c.HostOf(mover) == dst {
-			dst = c.Hosts()[1]
-		}
+		mover := firstMember(c, func(m *fleet.Member) bool {
+			return m.State() == fleet.StateRunning && m.Nym() != nil && m.Nym().Model() == core.ModelPersistent
+		})
+		dst := otherHost(c, c.HostOf(mover))
 		if _, err := c.MigrateNym(p, mover, dst.Name()); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("migrated %s to %s via the vault", mover, dst.Name())
 		p.Sleep(30 * time.Second)
@@ -710,31 +589,26 @@ func statusDemo(seed uint64, n int) error {
 		// from the last sweep checkpoint instead.
 		src := c.HostOf(mover)
 		srcRegion := src.Manager().Host().Node().Region()
-		back := c.Hosts()[0]
-		if back == src {
-			back = c.Hosts()[1]
-		}
+		back := otherHost(c, src)
 		net.SeverRegions(srcRegion, webworld.CoreRegion)
 		say("severed region %q from the providers; migrating %s back to %s", srcRegion, mover, back.Name())
 		rep, err := c.MigrateNym(p, mover, back.Name())
 		if err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		net.HealRegions(srcRegion, webworld.CoreRegion)
 		say("migration recovered from the last vault checkpoint (retried=%v); region healed", rep.Retried)
 		c.StopSweeps()
 		c.AwaitSweepsIdle(p)
 		if err := c.StopAll(p); err != nil {
-			demoErr = err
-			return
+			return err
 		}
 		say("cluster drained; rendering the SLO report")
+		return nil
 	})
-	eng.Run()
-	if demoErr != nil {
-		return demoErr
+	if err != nil {
+		return err
 	}
-	fmt.Print(slo.FromCluster(c).Render())
-	return nil
+	_, err = fmt.Fprint(w, slo.FromCluster(c).Render())
+	return err
 }

@@ -68,14 +68,14 @@ type StainRow struct {
 func AblationStaining(seed uint64) ([]StainRow, error) {
 	var rows []StainRow
 	for mi, model := range []core.UsageModel{core.ModelEphemeral, core.ModelPreconfigured, core.ModelPersistent} {
-		eng, world, mgr, err := newRig(seed + uint64(700+mi))
+		eng, world, mgr, err := NewRig(seed + uint64(700+mi))
 		if err != nil {
 			return nil, err
 		}
 		dest := core.StoreDest{Provider: "dropbin", Account: fmt.Sprintf("stain-%d", mi), AccountPassword: "c"}
 		var row StainRow
 		row.Model = model
-		err = runProc(eng, "stain", func(p *sim.Proc) error {
+		err = RunProc(eng, "stain", func(p *sim.Proc) error {
 			// Session 1: browse, get stained mid-session.
 			nym, err := mgr.StartNym(p, "victim", core.Options{Model: model})
 			if err != nil {
@@ -168,11 +168,11 @@ func AblationLinkage(seed uint64) ([]LinkageRow, error) {
 	sites := []string{"gmail.com", "facebook.com", "twitter.com"}
 
 	// (a) Nymix: one nym per role.
-	eng, world, mgr, err := newRig(seed + 800)
+	eng, world, mgr, err := NewRig(seed + 800)
 	if err != nil {
 		return nil, err
 	}
-	err = runProc(eng, "nymix-roles", func(p *sim.Proc) error {
+	err = RunProc(eng, "nymix-roles", func(p *sim.Proc) error {
 		for i, site := range sites {
 			nym, err := mgr.StartNym(p, fmt.Sprintf("role-%d", i), core.Options{})
 			if err != nil {

@@ -64,7 +64,7 @@ type CensorDPIResult struct {
 
 // CensorshipDPI runs the measured censorship scenario.
 func CensorshipDPI(seed uint64) (*CensorDPIResult, error) {
-	eng, _, mgr, err := newRig(seed + 800)
+	eng, _, mgr, err := NewRig(seed + 800)
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +83,7 @@ func CensorshipDPI(seed uint64) (*CensorDPIResult, error) {
 		vnet.ThrottleProto(censorThrottleRate, "https"),
 	))
 
-	if err := runProc(eng, "censorship-dpi", func(p *sim.Proc) error {
+	if err := RunProc(eng, "censorship-dpi", func(p *sim.Proc) error {
 		// Phase 0: baseline, censor not yet deployed.
 		base, err := mgr.StartNym(p, "baseline", core.Options{Anonymizer: "tor-bridge"})
 		if err != nil {

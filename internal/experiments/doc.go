@@ -7,7 +7,9 @@
 // live migration (FleetShards), and elastic autoscaling with
 // priority-class admission (Elastic). Each generator builds a fresh
 // deterministic world from a seed and returns typed rows; Render*
-// helpers print them in the paper's layout. cmd/nymbench is the CLI
-// front end and bench_test.go wraps each generator in a testing.B
-// benchmark.
+// helpers print them in the paper's layout. Every world comes from
+// NewRig, NewFleetRig or NewClusterRig and every script runs through
+// RunProc, the same harness the cmd/nymixctl demos use. cmd/nymbench
+// is the CLI front end and bench_test.go wraps each generator in a
+// testing.B benchmark.
 package experiments

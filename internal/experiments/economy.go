@@ -28,7 +28,6 @@ import (
 	"nymix/internal/guestos"
 	"nymix/internal/sim"
 	"nymix/internal/vnet"
-	"nymix/internal/webworld"
 )
 
 // EconomyMode is the telemetry of one run of the identical workload
@@ -265,8 +264,6 @@ func economySweepConfig(mode string, nyms int) cluster.SweepConfig {
 // economyRun executes one mode: ramp, cold save, churn rounds under
 // the coordinator, quiet drain rounds, then settle and bill.
 func economyRun(seed uint64, nyms, hosts, rounds int, mode string, out *EconomyMode) (float64, error) {
-	eng := sim.NewEngine(seed)
-	_, world := webworld.BuildDefault(eng)
 	// The provider-facing uplink is budgeted per nym and rides one
 	// serialized token, so the pool's effective throughput is a
 	// single host link no matter the host count.
@@ -274,18 +271,11 @@ func economyRun(seed uint64, nyms, hosts, rounds int, mode string, out *EconomyM
 		Latency:  time.Millisecond,
 		Capacity: EconomyUplinkPerNym * float64(nyms),
 	}
-	destFor := func(name string) core.VaultDest {
-		return core.VaultDest{
-			Providers:       []string{"dropbin"},
-			Account:         "acct-" + name,
-			AccountPassword: "cloud-pw",
-		}
-	}
-	c, err := cluster.New(eng, world, cluster.Config{
+	eng, _, c, err := NewClusterRig(seed, cluster.Config{
 		Hosts:         hosts,
 		Uplink:        &uplink,
 		VaultPassword: "econ-pw",
-		DestFor:       destFor,
+		DestFor:       vaultDestFor,
 		Rebalance: cluster.RebalanceConfig{
 			Enabled:         true,
 			Interval:        EconomyInterval,
@@ -299,7 +289,7 @@ func economyRun(seed uint64, nyms, hosts, rounds int, mode string, out *EconomyM
 	}
 	out.Mode = mode
 	var coldMB float64
-	err = runProc(eng, "economy-"+mode, func(p *sim.Proc) error {
+	err = RunProc(eng, "economy-"+mode, func(p *sim.Proc) error {
 		if err := c.LaunchAll(EconomySpecs(nyms)); err != nil {
 			return err
 		}
@@ -311,9 +301,7 @@ func economyRun(seed uint64, nyms, hosts, rounds int, mode string, out *EconomyM
 		// percentiles below must not be polluted by ramp-age samples.
 		var coldBytes int64
 		for _, h := range c.Hosts() {
-			st, err := h.Fleet().SaveSweep(p, "econ-pw", func(m *fleet.Member) core.VaultDest {
-				return destFor(m.Name())
-			})
+			st, err := h.Fleet().SaveSweep(p, "econ-pw", FleetVaultDest)
 			if err != nil {
 				return err
 			}
@@ -328,9 +316,7 @@ func economyRun(seed uint64, nyms, hosts, rounds int, mode string, out *EconomyM
 		for _, h := range c.Hosts() {
 			if _, err := h.Fleet().SweepOnce(p, fleet.SweepConfig{
 				Password: "econ-pw",
-				DestFor: func(m *fleet.Member) core.VaultDest {
-					return destFor(m.Name())
-				},
+				DestFor:  FleetVaultDest,
 			}); err != nil {
 				return err
 			}

@@ -10,7 +10,6 @@ import (
 	"nymix/internal/fleet"
 	"nymix/internal/hypervisor"
 	"nymix/internal/sim"
-	"nymix/internal/webworld"
 )
 
 // defaultElasticChip sizes the elastic scenario's hosts: a 4-core
@@ -168,13 +167,11 @@ type memberStat struct {
 }
 
 func elasticRun(seed uint64, nyms, hosts int, elastic bool, hostCfg hypervisor.Config, res *ElasticResult) ([]ElasticClassRow, error) {
-	eng := sim.NewEngine(seed)
-	_, world := webworld.BuildDefault(eng)
 	cfg := ElasticClusterConfig(hosts, elastic)
 	if hostCfg.RAMBytes != 0 || hostCfg.CPU.Cores != 0 {
 		cfg.HostConfig = hostCfg
 	}
-	c, err := cluster.New(eng, world, cfg)
+	eng, _, c, err := NewClusterRig(seed, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +185,7 @@ func elasticRun(seed uint64, nyms, hosts int, elastic bool, hostCfg hypervisor.C
 		mode = "elastic"
 	}
 
-	err = runProc(eng, "elastic-"+mode, func(p *sim.Proc) error {
+	err = RunProc(eng, "elastic-"+mode, func(p *sim.Proc) error {
 		// Phase 1: the burst. Settled means every launch was admitted,
 		// preempted after admission, or (fixed mode) stalled for good.
 		t0 := p.Now()
@@ -213,22 +210,7 @@ func elasticRun(seed uint64, nyms, hosts int, elastic bool, hostCfg hypervisor.C
 		// teardown fans out per host.
 		preDrainMoves := c.Migrations()
 		preDrainWire := c.MigrationWireBytes()
-		var stops []*sim.Future[struct{}]
-		for _, h := range c.Hosts() {
-			h := h
-			for _, m := range h.Fleet().Members() {
-				if m.State() != fleet.StateRunning || m.Priority() != fleet.PriorityEphemeral {
-					continue
-				}
-				name := m.Name()
-				stops = append(stops, eng.Go("quiesce-"+name, func(sp *sim.Proc) {
-					h.Fleet().Stop(sp, name)
-				}))
-			}
-		}
-		for _, f := range stops {
-			sim.Await(p, f)
-		}
+		QuiesceEphemeral(p, c)
 
 		// Phase 3: drain toward the floor. AwaitSettled covers the
 		// shrink dwells and the in-flight drains, so when it returns the
@@ -251,6 +233,27 @@ func elasticRun(seed uint64, nyms, hosts int, elastic bool, hostCfg hypervisor.C
 		return nil, err
 	}
 	return elasticClassRows(mode, stats), nil
+}
+
+// QuiesceEphemeral ends an elastic burst wave: it stops every running
+// ephemeral-class member of c in parallel, one proc per member, and
+// waits for all of them.
+func QuiesceEphemeral(p *sim.Proc, c *cluster.Cluster) {
+	var stops []*sim.Future[struct{}]
+	for _, h := range c.Hosts() {
+		for _, m := range h.Fleet().Members() {
+			if m.State() != fleet.StateRunning || m.Priority() != fleet.PriorityEphemeral {
+				continue
+			}
+			name := m.Name()
+			stops = append(stops, p.Engine().Go("quiesce-"+name, func(sp *sim.Proc) {
+				h.Fleet().Stop(sp, name)
+			}))
+		}
+	}
+	for _, f := range stops {
+		sim.Await(p, f)
+	}
 }
 
 // collectElasticStats snapshots every launch's admission outcome from

@@ -4,15 +4,17 @@ import (
 	"fmt"
 	"strings"
 
+	"nymix/internal/cluster"
 	"nymix/internal/core"
+	"nymix/internal/fleet"
 	"nymix/internal/hypervisor"
 	"nymix/internal/sim"
 	"nymix/internal/webworld"
 )
 
-// newRig builds the standard evaluation setup: the default world and
+// NewRig builds the standard evaluation setup: the default world and
 // a Nymix host with the paper's 16 GB / quad-core configuration.
-func newRig(seed uint64) (*sim.Engine, *webworld.World, *core.Manager, error) {
+func NewRig(seed uint64) (*sim.Engine, *webworld.World, *core.Manager, error) {
 	eng := sim.NewEngine(seed)
 	_, world := webworld.BuildDefault(eng)
 	mgr, err := core.NewManager(eng, world, hypervisor.DefaultConfig())
@@ -22,9 +24,34 @@ func newRig(seed uint64) (*sim.Engine, *webworld.World, *core.Manager, error) {
 	return eng, world, mgr, nil
 }
 
-// runProc executes fn as a simulated process, drains the engine, and
+// NewFleetRig builds the single-host fleet setup: the default world,
+// one FleetHostConfig host, and a supervisor running the default
+// restart policy over it.
+func NewFleetRig(seed uint64) (*sim.Engine, *core.Manager, *fleet.Orchestrator, error) {
+	eng := sim.NewEngine(seed)
+	_, world := webworld.BuildDefault(eng)
+	mgr, err := core.NewManager(eng, world, FleetHostConfig())
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return eng, mgr, fleet.New(mgr, fleet.Config{Restart: fleet.DefaultRestartPolicy()}), nil
+}
+
+// NewClusterRig builds the multi-host setup: the default world and a
+// cluster of cfg's hosts on it.
+func NewClusterRig(seed uint64, cfg cluster.Config) (*sim.Engine, *webworld.World, *cluster.Cluster, error) {
+	eng := sim.NewEngine(seed)
+	_, world := webworld.BuildDefault(eng)
+	c, err := cluster.New(eng, world, cfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return eng, world, c, nil
+}
+
+// RunProc executes fn as a simulated process, drains the engine, and
 // returns fn's error.
-func runProc(eng *sim.Engine, name string, fn func(p *sim.Proc) error) error {
+func RunProc(eng *sim.Engine, name string, fn func(p *sim.Proc) error) error {
 	var err error
 	eng.Go(name, func(p *sim.Proc) { err = fn(p) })
 	eng.Run()

@@ -32,13 +32,13 @@ const PerNymboxMB = float64(core.DefaultAnonRAM+core.DefaultAnonDisk+core.Defaul
 // with each one's site (Gmail, Twitter, YouTube, Tor Blog, BBC,
 // Facebook, Slashdot, ESPN).
 func Figure3(seed uint64) ([]Figure3Row, error) {
-	eng, world, mgr, err := newRig(seed)
+	eng, world, mgr, err := NewRig(seed)
 	if err != nil {
 		return nil, err
 	}
 	var rows []Figure3Row
 	baselineMB := float64(mgr.Host().Mem().UsedBytes()) / float64(guestos.MiB)
-	err = runProc(eng, "figure3", func(p *sim.Proc) error {
+	err = RunProc(eng, "figure3", func(p *sim.Proc) error {
 		for k, site := range workload.Figure3Sites {
 			nym, err := mgr.StartNym(p, fmt.Sprintf("fig3-%d", k), core.Options{})
 			if err != nil {

@@ -23,12 +23,12 @@ func Figure5(seed uint64) ([]Figure5Row, error) {
 	var rows []Figure5Row
 	var single float64
 	for k := 1; k <= 8; k++ {
-		eng, _, mgr, err := newRig(seed + uint64(100+k))
+		eng, _, mgr, err := NewRig(seed + uint64(100+k))
 		if err != nil {
 			return nil, err
 		}
 		var worst time.Duration
-		err = runProc(eng, "fig5", func(p *sim.Proc) error {
+		err = RunProc(eng, "fig5", func(p *sim.Proc) error {
 			var nyms []*core.Nym
 			for i := 0; i < k; i++ {
 				nym, err := mgr.StartNym(p, fmt.Sprintf("dl-%d", i), core.Options{})

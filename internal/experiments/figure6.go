@@ -32,7 +32,7 @@ func Figure6(seed uint64) ([]Figure6Series, error) {
 	}
 	var out []Figure6Series
 	for si, site := range Figure6Sites {
-		eng, world, mgr, err := newRig(seed + uint64(200+si))
+		eng, world, mgr, err := NewRig(seed + uint64(200+si))
 		if err != nil {
 			return nil, err
 		}
@@ -40,7 +40,7 @@ func Figure6(seed uint64) ([]Figure6Series, error) {
 		series := Figure6Series{Site: site}
 		name := "fig6-" + site
 		prof := world.Site(site).Profile
-		err = runProc(eng, "fig6", func(p *sim.Proc) error {
+		err = RunProc(eng, "fig6", func(p *sim.Proc) error {
 			// Cycle 1: fresh nym, visit, sign in where applicable,
 			// remember the login, save to cloud.
 			nym, err := mgr.StartNym(p, name, opts)

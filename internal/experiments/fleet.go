@@ -10,7 +10,6 @@ import (
 	"nymix/internal/guestos"
 	"nymix/internal/hypervisor"
 	"nymix/internal/sim"
-	"nymix/internal/webworld"
 )
 
 // FleetSizes are the ramp targets of the fleet-scale experiment.
@@ -93,16 +92,12 @@ func FleetRampUp(seed uint64, sizes ...int) ([]FleetScale, error) {
 }
 
 func fleetRampOne(seed uint64, n int) (FleetScale, error) {
-	eng := sim.NewEngine(seed)
-	_, world := webworld.BuildDefault(eng)
-	mgr, err := core.NewManager(eng, world, FleetHostConfig())
+	eng, mgr, o, err := NewFleetRig(seed)
 	if err != nil {
 		return FleetScale{}, err
 	}
-	o := fleet.New(mgr, fleet.Config{Restart: fleet.DefaultRestartPolicy()})
-	destFor := FleetVaultDest
 	row := FleetScale{Nyms: n}
-	err = runProc(eng, "fleet-ramp", func(p *sim.Proc) error {
+	err = RunProc(eng, "fleet-ramp", func(p *sim.Proc) error {
 		// Single-nym baseline on the same world, for the serial
 		// estimate the parallel ramp is judged against.
 		probe, err := mgr.StartNym(p, "probe", FleetNymOptions("probe", 1))
@@ -124,7 +119,7 @@ func fleetRampOne(seed uint64, n int) (FleetScale, error) {
 		}
 		row.TimeToRunning = p.Now() - t0
 
-		cold, err := o.SaveSweep(p, "fleet-pw", destFor)
+		cold, err := o.SaveSweep(p, "fleet-pw", FleetVaultDest)
 		if err != nil {
 			return err
 		}
@@ -139,7 +134,7 @@ func fleetRampOne(seed uint64, n int) (FleetScale, error) {
 				}
 			}
 		}
-		steady, err := o.SaveSweep(p, "fleet-pw", destFor)
+		steady, err := o.SaveSweep(p, "fleet-pw", FleetVaultDest)
 		if err != nil {
 			return err
 		}
@@ -183,10 +178,14 @@ func RenderFleetRampUp(rows []FleetScale) string {
 // FleetVaultDest is the per-member vault destination the fleet
 // experiment checkpoints to: one pseudonymous account per nym on one
 // provider.
-func FleetVaultDest(m *fleet.Member) core.VaultDest {
+func FleetVaultDest(m *fleet.Member) core.VaultDest { return vaultDestFor(m.Name()) }
+
+// vaultDestFor is FleetVaultDest keyed by nym name, the shape
+// cluster.Config.DestFor takes.
+func vaultDestFor(name string) core.VaultDest {
 	return core.VaultDest{
 		Providers:       []string{"dropbin"},
-		Account:         "acct-" + m.Name(),
+		Account:         "acct-" + name,
 		AccountPassword: "cloud-pw",
 	}
 }

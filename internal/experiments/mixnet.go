@@ -81,7 +81,7 @@ func MixnetFrontier(seed uint64) (*MixnetFrontierResult, error) {
 // frontierRun measures one backend on a fresh rig with the shared
 // seed, so every backend faces the same world and the same workload.
 func frontierRun(seed uint64, backend string) (*MixnetFrontierRow, error) {
-	eng, world, mgr, err := newRig(seed + 900)
+	eng, world, mgr, err := NewRig(seed + 900)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +92,7 @@ func frontierRun(seed uint64, backend string) (*MixnetFrontierRow, error) {
 
 	var lats []time.Duration
 	var payload int64
-	if err := runProc(eng, "frontier-"+backend, func(p *sim.Proc) error {
+	if err := RunProc(eng, "frontier-"+backend, func(p *sim.Proc) error {
 		alice, err := mgr.StartNym(p, "alice", core.Options{Anonymizer: backend})
 		if err != nil {
 			return err

@@ -90,9 +90,9 @@ const (
 	partitionHosts = 4
 )
 
-// partitionRegions maps host index to hosting region: even hosts
+// EastWestRegion maps host index to hosting region: even hosts
 // east, odd hosts west.
-func partitionRegions(i int) string {
+func EastWestRegion(i int) string {
 	if i%2 == 0 {
 		return "east"
 	}
@@ -120,16 +120,14 @@ func partitionSpecs(n int) []fleet.Spec {
 
 // Partition runs the two-region fault-schedule experiment.
 func Partition(seed uint64) (*PartitionResult, error) {
-	eng := sim.NewEngine(seed)
-	_, world := webworld.BuildDefault(eng)
-	net := world.Net()
-	c, err := cluster.New(eng, world, cluster.Config{
+	eng, world, c, err := NewClusterRig(seed, cluster.Config{
 		Hosts:     partitionHosts,
-		RegionFor: partitionRegions,
+		RegionFor: EastWestRegion,
 	})
 	if err != nil {
 		return nil, err
 	}
+	net := world.Net()
 	res := &PartitionResult{
 		Seed:    seed,
 		Nyms:    partitionNyms,
@@ -150,14 +148,14 @@ func Partition(seed uint64) (*PartitionResult, error) {
 		up := h.Manager().Host().Uplink()
 		taps = append(taps, hostTap{
 			host:   h,
-			region: partitionRegions(i),
+			region: EastWestRegion(i),
 			link:   up,
 			tap:    up.NICFor(h.Manager().Host().Node()).WireTap(),
 		})
 	}
 
 	var migErr error
-	err = runProc(eng, "partition", func(p *sim.Proc) error {
+	err = RunProc(eng, "partition", func(p *sim.Proc) error {
 		t0 := p.Now()
 		if err := c.LaunchAll(partitionSpecs(partitionNyms)); err != nil {
 			return err
@@ -302,7 +300,7 @@ func persistentOn(c *cluster.Cluster, region string) []string {
 // hostIn returns the name of the first host in the region.
 func hostIn(c *cluster.Cluster, region string) string {
 	for i, h := range c.Hosts() {
-		if partitionRegions(i) == region {
+		if EastWestRegion(i) == region {
 			return h.Name()
 		}
 	}
@@ -312,7 +310,7 @@ func hostIn(c *cluster.Cluster, region string) string {
 func regionOfHost(c *cluster.Cluster, h *cluster.Host) string {
 	for i, hh := range c.Hosts() {
 		if hh == h {
-			return partitionRegions(i)
+			return EastWestRegion(i)
 		}
 	}
 	return ""

@@ -7,7 +7,6 @@ import (
 	"nymix/internal/cluster"
 	"nymix/internal/hypervisor"
 	"nymix/internal/sim"
-	"nymix/internal/webworld"
 )
 
 // ShardScale is one row of the fleet-sharding experiment: a placement
@@ -65,18 +64,16 @@ func FleetShardsOn(seed uint64, nyms, hosts int, hostCfg hypervisor.Config) ([]S
 }
 
 func shardRampOne(seed uint64, nyms, hosts int, policy cluster.Policy, hostCfg hypervisor.Config) (ShardScale, error) {
-	eng := sim.NewEngine(seed)
-	_, world := webworld.BuildDefault(eng)
 	cfg := ShardClusterConfig(hosts, policy)
 	if hostCfg.RAMBytes != 0 || hostCfg.CPU.Cores != 0 {
 		cfg.HostConfig = hostCfg
 	}
-	c, err := cluster.New(eng, world, cfg)
+	eng, _, c, err := NewClusterRig(seed, cfg)
 	if err != nil {
 		return ShardScale{}, err
 	}
 	row := ShardScale{Policy: policy.Name(), Nyms: nyms, Hosts: hosts}
-	err = runProc(eng, "shard-ramp", func(p *sim.Proc) error {
+	err = RunProc(eng, "shard-ramp", func(p *sim.Proc) error {
 		t0 := p.Now()
 		if err := c.LaunchAll(FleetSpecs(nyms)); err != nil {
 			return err
@@ -90,7 +87,7 @@ func shardRampOne(seed uint64, nyms, hosts int, policy cluster.Policy, hostCfg h
 	if err != nil {
 		return ShardScale{}, err
 	}
-	// runProc drains the engine, so the rebalancer has converged (no
+	// RunProc drains the engine, so the rebalancer has converged (no
 	// hot host with a cold destination remains) before stats are read.
 	st := c.Snapshot()
 	row.PeakQueued = st.PeakQueued

@@ -8,7 +8,6 @@ import (
 	"nymix/internal/fleet"
 	"nymix/internal/guestos"
 	"nymix/internal/sim"
-	"nymix/internal/webworld"
 )
 
 // SweepMode is the telemetry of one steady-state sweep run — the
@@ -113,19 +112,16 @@ func SweepSteadyState(seed uint64, nyms, rounds int) (SweepSteady, error) {
 // `rounds` sweep intervals with occasional browsing while the sweep
 // scheduler runs.
 func sweepRun(seed uint64, n, rounds int, saveAll bool) (SweepMode, float64, error) {
-	eng := sim.NewEngine(seed)
-	_, world := webworld.BuildDefault(eng)
-	mgr, err := core.NewManager(eng, world, FleetHostConfig())
+	eng, _, o, err := NewFleetRig(seed)
 	if err != nil {
 		return SweepMode{}, 0, err
 	}
-	o := fleet.New(mgr, fleet.Config{Restart: fleet.DefaultRestartPolicy()})
 	mode := SweepMode{Mode: "scheduled"}
 	if saveAll {
 		mode.Mode = "naive"
 	}
 	var coldMB float64
-	err = runProc(eng, "sweep-steady", func(p *sim.Proc) error {
+	err = RunProc(eng, "sweep-steady", func(p *sim.Proc) error {
 		if _, err := o.LaunchAll(SweepSpecs(n)); err != nil {
 			return err
 		}

@@ -36,17 +36,15 @@ func Table1(seed uint64) ([]Table1Row, error) {
 				return nil, err
 			}
 			var repair, boot time.Duration
-			var runErr error
-			eng.Go("table1", func(p *sim.Proc) {
-				repair, runErr = img.Repair(p)
-				if runErr != nil {
-					return
+			if err := RunProc(eng, "table1", func(p *sim.Proc) error {
+				var err error
+				if repair, err = img.Repair(p); err != nil {
+					return err
 				}
-				boot, runErr = img.Boot(p)
-			})
-			eng.Run()
-			if runErr != nil {
-				return nil, runErr
+				boot, err = img.Boot(p)
+				return err
+			}); err != nil {
+				return nil, err
 			}
 			repairSum += repair
 			bootSum += boot

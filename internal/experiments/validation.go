@@ -50,13 +50,13 @@ func (r *ValidationReport) Passed() bool {
 // beacon, browsing traffic, a Wireshark-style capture on the uplink,
 // and the full probe matrix.
 func Validation(seed uint64) (*ValidationReport, error) {
-	eng, _, mgr, err := newRig(seed + 500)
+	eng, _, mgr, err := NewRig(seed + 500)
 	if err != nil {
 		return nil, err
 	}
 	cap := mgr.Host().Uplink().Tap()
 	var nyms []*core.Nym
-	err = runProc(eng, "validation", func(p *sim.Proc) error {
+	err = RunProc(eng, "validation", func(p *sim.Proc) error {
 		for i := 0; i < 2; i++ {
 			nym, err := mgr.StartNym(p, fmt.Sprintf("val-%d", i), core.Options{})
 			if err != nil {

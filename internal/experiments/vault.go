@@ -30,7 +30,7 @@ type VaultCycle struct {
 // changed chunks while the monolithic path would re-ship everything.
 func VaultIncremental(seed uint64) ([]VaultCycle, error) {
 	const cycles = 5
-	eng, world, mgr, err := newRig(seed + 900)
+	eng, world, mgr, err := NewRig(seed + 900)
 	if err != nil {
 		return nil, err
 	}
@@ -47,7 +47,7 @@ func VaultIncremental(seed uint64) ([]VaultCycle, error) {
 			DedupPct:     100 * stats.DedupFrac(),
 		})
 	}
-	err = runProc(eng, "vault-bench", func(p *sim.Proc) error {
+	err = RunProc(eng, "vault-bench", func(p *sim.Proc) error {
 		nym, err := mgr.StartNym(p, "vault-nym", opts)
 		if err != nil {
 			return err
