@@ -15,7 +15,7 @@ func init() {
 	anonnet.RegisterTransport("dissent", anonnet.TransportInfo{},
 		func(env anonnet.Env) (anonnet.Transport, error) {
 			return New(env.Net, env.CommNode, env.World.DissentServers(),
-				env.Opts.DissentMembers, env.World.Resolver()), nil
+				anonymitySet, env.World.Resolver()), nil
 		})
 }
 
@@ -36,6 +36,9 @@ const (
 	// perMemberCost is the per-round scheduling cost per anonymity-set
 	// member.
 	perMemberCost = 2 * time.Millisecond
+	// anonymitySet is the anonymity set size a nym's Dissent client
+	// is configured for.
+	anonymitySet = 16
 )
 
 // Client is a Dissent client inside a CommVM, implementing
@@ -169,7 +172,7 @@ func (c *Client) Fetch(p *sim.Proc, req anonnet.Request) (anonnet.FetchResult, e
 	// Server-side fetch from the site (fast server-to-site path).
 	srv := c.servers[0]
 	siteFut := c.net.StartTransfer(vnet.TransferOpts{
-		From: req.SiteNode, To: srv, Bytes: maxI64(req.RecvBytes, 512), Proto: "dissent",
+		From: req.SiteNode, To: srv, Bytes: max(req.RecvBytes, 512), Proto: "dissent",
 	})
 	if _, err := sim.Await(p, siteFut); err != nil {
 		return anonnet.FetchResult{}, fmt.Errorf("dissent: exit fetch: %w", err)
@@ -243,12 +246,5 @@ func (c *Client) ImportState(st anonnet.State) {
 
 // Stop implements anonnet.Anonymizer.
 func (c *Client) Stop() { c.ready = false }
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 var _ anonnet.Anonymizer = (*Client)(nil)

@@ -84,7 +84,7 @@ func (r *Relay) Fetch(p *sim.Proc, req anonnet.Request) (anonnet.FetchResult, er
 	start := p.Now()
 	up := r.net.StartTransfer(vnet.TransferOpts{
 		From: r.commNode, To: req.SiteNode,
-		Bytes: maxI64(req.SendBytes, 256), Proto: "incognito", Overhead: WireOverhead,
+		Bytes: max(req.SendBytes, 256), Proto: "incognito", Overhead: WireOverhead,
 	})
 	if _, err := sim.Await(p, up); err != nil {
 		return anonnet.FetchResult{}, fmt.Errorf("incognito: upstream: %w", err)
@@ -137,12 +137,5 @@ func (r *Relay) ImportState(anonnet.State) {}
 
 // Stop implements anonnet.Anonymizer.
 func (r *Relay) Stop() { r.ready = false }
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 var _ anonnet.Anonymizer = (*Relay)(nil)

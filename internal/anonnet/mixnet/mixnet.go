@@ -290,7 +290,7 @@ func (c *Client) Fetch(p *sim.Proc, req anonnet.Request) (anonnet.FetchResult, e
 	// The exit mix exchanges with the site in the clear.
 	upFut := c.net.StartTransfer(vnet.TransferOpts{
 		From: c.exit(), To: req.SiteNode,
-		Bytes: maxI64(req.SendBytes, 512), Proto: "http",
+		Bytes: max(req.SendBytes, 512), Proto: "http",
 	})
 	if _, err := sim.Await(p, upFut); err != nil {
 		return anonnet.FetchResult{}, fmt.Errorf("mixnet: exit fetch: %w", err)
@@ -392,13 +392,6 @@ func (c *Client) Stop() {
 		f.done.Complete(struct{}{}, anonnet.ErrNotReady)
 	}
 	c.sendQ = nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func reverse(s []string) []string {

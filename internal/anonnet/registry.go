@@ -27,8 +27,6 @@ type TransportOpts struct {
 	// GuardSeed derives the Tor entry guard deterministically
 	// (section 3.5's fix for the ephemeral-loader intersection hole).
 	GuardSeed string
-	// DissentMembers is the anonymity set size for Dissent nyms.
-	DissentMembers int
 }
 
 // Factory builds one transport instance for a nym.

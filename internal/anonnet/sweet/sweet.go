@@ -139,7 +139,7 @@ func (c *Client) Fetch(p *sim.Proc, req anonnet.Request) (anonnet.FetchResult, e
 	}
 	// Proxy-side fetch (server network, fast).
 	fut := c.net.StartTransfer(vnet.TransferOpts{
-		From: req.SiteNode, To: c.proxy, Bytes: maxI64(req.RecvBytes, 512), Proto: "http",
+		From: req.SiteNode, To: c.proxy, Bytes: max(req.RecvBytes, 512), Proto: "http",
 	})
 	if _, err := sim.Await(p, fut); err != nil {
 		return anonnet.FetchResult{}, fmt.Errorf("sweet: proxy fetch: %w", err)
@@ -207,12 +207,5 @@ func (c *Client) ImportState(st anonnet.State) {
 
 // Stop implements anonnet.Anonymizer.
 func (c *Client) Stop() { c.ready = false }
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 var _ anonnet.Anonymizer = (*Client)(nil)

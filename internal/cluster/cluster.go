@@ -25,10 +25,8 @@ type Config struct {
 	Hosts int
 	// HostConfig sizes each host (default: 64 GiB, 16 cores — the
 	// fleet experiment's production profile). Name is overridden per
-	// host with HostPrefix.
+	// host: hosts are named shard0..N-1.
 	HostConfig hypervisor.Config
-	// HostPrefix names hosts HostPrefix0..N-1 (default "shard").
-	HostPrefix string
 	// Uplink is each host's uplink (default ClusterUplink).
 	Uplink *vnet.LinkConfig
 	// Fleet configures every host's orchestrator.
@@ -50,8 +48,6 @@ type Config struct {
 	// DestFor maps a nym name to its vault destination (default: one
 	// pseudonymous dropbin account per nym).
 	DestFor func(name string) core.VaultDest
-	// ProviderQuota is the per-account cloud quota (default 2 GiB).
-	ProviderQuota int64
 	// RegionFor maps a host index to a hosting region. When set, each
 	// host uplinks to its region's gateway router
 	// (webworld.EnsureRegion) instead of the world's LAN gateway, so
@@ -66,9 +62,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.HostConfig.RAMBytes == 0 && c.HostConfig.CPU.Cores == 0 {
 		c.HostConfig = hypervisor.Config{RAMBytes: 64 << 30, CPU: defaultChip()}
-	}
-	if c.HostPrefix == "" {
-		c.HostPrefix = "shard"
 	}
 	if c.Uplink == nil {
 		c.Uplink = &ClusterUplink
@@ -87,9 +80,6 @@ func (c *Config) fillDefaults() error {
 				AccountPassword: "cloud-pw",
 			}
 		}
-	}
-	if c.ProviderQuota == 0 {
-		c.ProviderQuota = 2 << 30
 	}
 	if err := c.Rebalance.fillDefaults(); err != nil {
 		return err
@@ -278,7 +268,7 @@ func New(eng *sim.Engine, world *webworld.World, cfg Config) (*Cluster, error) {
 		queueSince: -1,
 		coldSince:  -1,
 	}
-	c.providers = core.DefaultProviders(world, cfg.ProviderQuota)
+	c.providers = core.DefaultProviders(world)
 	for i := 0; i < cfg.Hosts; i++ {
 		if _, err := c.addHost(); err != nil {
 			return nil, err
@@ -293,7 +283,7 @@ func New(eng *sim.Engine, world *webworld.World, cfg Config) (*Cluster, error) {
 // New calls it for the initial pool.
 func (c *Cluster) addHost() (*Host, error) {
 	hostCfg := c.cfg.HostConfig
-	hostCfg.Name = fmt.Sprintf("%s%d", c.cfg.HostPrefix, c.hostSeq)
+	hostCfg.Name = fmt.Sprintf("shard%d", c.hostSeq)
 	var gateway *vnet.Node
 	if c.cfg.RegionFor != nil {
 		if region := c.cfg.RegionFor(c.hostSeq); region != "" {

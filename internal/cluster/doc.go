@@ -36,7 +36,7 @@
 //     cordons its least-loaded host, drains every live nym off it via
 //     MigrateNym, and retires it (down to MinHosts). Hosts walk
 //     Active -> Cordoned -> Draining -> Retired; operators can drive
-//     the same path by hand with Cordon/Uncordon/RetireHost.
+//     the same path by hand with Cordon/RetireHost.
 //   - Preemption. A high-priority launch stuck at the head of the
 //     cluster-wide queue past its dwell sacrifices strictly-lower
 //     classes on the cheapest host (fleet.PreemptOne: ephemeral nyms

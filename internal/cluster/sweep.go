@@ -40,9 +40,6 @@ type SweepConfig struct {
 	// token gate is the hard cap that holds even when a sweep
 	// overruns its slot.
 	Tokens int
-	// Stagger and Concurrency tune each host's pass (fleet defaults).
-	Stagger     time.Duration
-	Concurrency int
 	// SaveAll disables dirty-skip on every host (the naive mode).
 	SaveAll bool
 	// Adaptive turns on each host pass's churn-adaptive cadence: a
@@ -348,14 +345,12 @@ func (c *Cluster) sweepSlot(p *sim.Proc, cfg *SweepConfig, round, slot int, h *H
 	start := p.Now()
 	destFor := cfg.DestFor
 	rec, err := h.orch.SweepOnce(p, fleet.SweepConfig{
-		Password:    cfg.Password,
-		DestFor:     func(m *fleet.Member) core.VaultDest { return destFor(m.Name()) },
-		Stagger:     cfg.Stagger,
-		Concurrency: cfg.Concurrency,
-		SaveAll:     cfg.SaveAll,
-		Adaptive:    cfg.Adaptive,
-		RPO:         cfg.RPO,
-		RPOFor:      cfg.RPOFor,
+		Password: cfg.Password,
+		DestFor:  func(m *fleet.Member) core.VaultDest { return destFor(m.Name()) },
+		SaveAll:  cfg.SaveAll,
+		Adaptive: cfg.Adaptive,
+		RPO:      cfg.RPO,
+		RPOFor:   cfg.RPOFor,
 		// The cadence's deferral horizon: this host's next slot is one
 		// round out, two if the coordinator skips a round — plus one
 		// Interval of pass-duration allowance.

@@ -79,6 +79,51 @@ func TestClusterSweepSlotsNeverOverlap(t *testing.T) {
 	})
 }
 
+// TestClusterSweepHonoursHostSaveStagger: a slot pass runs at the
+// save stagger and concurrency of the host fleet it sweeps. With one
+// save in flight and 3s between launches, a slot that saves n members
+// takes at least (n-1)x3s.
+func TestClusterSweepHonoursHostSaveStagger(t *testing.T) {
+	const stagger = 3 * time.Second
+	eng, c := newCluster(t, 22, 2, 4<<30, Config{
+		Fleet: fleet.Config{SaveStagger: stagger, SaveConcurrency: 1},
+	})
+	run(t, eng, func(p *sim.Proc) {
+		if err := c.LaunchAll(specs(6, core.ModelPersistent)); err != nil {
+			t.Errorf("launch: %v", err)
+			return
+		}
+		if err := c.AwaitRunning(p, 6); err != nil {
+			t.Errorf("await: %v", err)
+			return
+		}
+		if err := c.StartSweeps(SweepConfig{Interval: 30 * time.Second, SaveAll: true}); err != nil {
+			t.Errorf("start sweeps: %v", err)
+			return
+		}
+		p.Sleep(65 * time.Second)
+		c.StopSweeps()
+		c.AwaitSweepsIdle(p)
+		multi := 0
+		for _, s := range c.SweepSlots() {
+			if s.Record.Saves < 2 {
+				continue
+			}
+			multi++
+			if floor := time.Duration(s.Record.Saves-1) * stagger; s.Record.Elapsed < floor {
+				t.Errorf("round %d %s: %d saves took %v, want >= %v at a %v stagger",
+					s.Round, s.Host, s.Record.Saves, s.Record.Elapsed, floor, stagger)
+			}
+		}
+		if multi < 4 {
+			t.Errorf("only %d slots saved more than one member, want >= 4", multi)
+		}
+		if err := c.StopAll(p); err != nil {
+			t.Errorf("stop: %v", err)
+		}
+	})
+}
+
 // TestClusterSweepPausesCordonedHost: a host out of Active duty is
 // skipped by the coordinator — its slots are recorded as paused and
 // nothing of its state moves to the providers.

@@ -62,13 +62,10 @@ type Options struct {
 	AnonDisk int64
 	CommRAM  int64
 	CommDisk int64
-	CacheCap int64 // browser cache cap; 0 = Chromium's 83 MB default
 	// GuardSeed, when set, derives the Tor entry guard
 	// deterministically (section 3.5's fix for the ephemeral-loader
 	// intersection hole).
 	GuardSeed string
-	// DissentMembers is the anonymity set size for Dissent nyms.
-	DissentMembers int
 }
 
 // Evaluation-default VM sizes (section 5.2): "we allocated 16 MB disk
@@ -99,9 +96,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.CommDisk == 0 {
 		o.CommDisk = DefaultCommDisk
-	}
-	if o.DissentMembers == 0 {
-		o.DissentMembers = 16
 	}
 }
 
@@ -153,14 +147,17 @@ type ManagerConfig struct {
 	Gateway *vnet.Node
 }
 
+// providerQuota is each cloud account's storage quota.
+const providerQuota = 2 << 30
+
 // DefaultProviders registers the standard cloud providers (dropbin,
-// gdrive) on the world's backbone, with quota bytes per account. Call
-// it once per world and share the result among managers.
-func DefaultProviders(world *webworld.World, quota int64) map[string]*cloud.Provider {
+// gdrive) on the world's backbone, with providerQuota bytes per
+// account. Call it once per world and share the result among managers.
+func DefaultProviders(world *webworld.World) map[string]*cloud.Provider {
 	providerCfg := vnet.LinkConfig{Latency: 2 * time.Millisecond, Capacity: 1e9 / 8}
 	out := make(map[string]*cloud.Provider)
 	for _, name := range []string{"dropbin", "gdrive"} {
-		out[name] = cloud.NewProvider(world.Net(), world.Internet(), name, quota, providerCfg)
+		out[name] = cloud.NewProvider(world.Net(), world.Internet(), name, providerQuota, providerCfg)
 	}
 	return out
 }
@@ -204,7 +201,7 @@ func NewManagerWith(eng *sim.Engine, world *webworld.World, hostCfg hypervisor.C
 		m.vmPrefix = name + "."
 	}
 	if m.providers == nil {
-		m.providers = DefaultProviders(world, 2<<30)
+		m.providers = DefaultProviders(world)
 	}
 	return m, nil
 }
@@ -471,7 +468,6 @@ func (m *Manager) startNym(p *sim.Proc, name string, opts Options, restore *rest
 		n.phases.EphemeralNym = restore.ephemeralPhase
 	}
 	n.browser = browser.New(m.world, m.net, anonVM, commName, anon, browser.Config{
-		CacheCap:  opts.CacheCap,
 		RenderCPU: m.host.SubmitVMTask,
 	})
 	m.nyms[name] = n
@@ -513,8 +509,7 @@ func (m *Manager) buildAnonymizer(opts Options, commName string) (anonnet.Transp
 		CommNode: commName,
 		HostNode: m.host.Node().Name(),
 		Opts: anonnet.TransportOpts{
-			GuardSeed:      opts.GuardSeed,
-			DissentMembers: opts.DissentMembers,
+			GuardSeed: opts.GuardSeed,
 		},
 	}
 	build := func(kind string) (anonnet.Transport, error) {

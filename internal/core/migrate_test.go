@@ -18,7 +18,7 @@ func twoManagers(t *testing.T, seed uint64) (*sim.Engine, *webworld.World, *Mana
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	_, world := webworld.BuildDefault(eng)
-	providers := DefaultProviders(world, 2<<30)
+	providers := DefaultProviders(world)
 	newHost := func(name string) *Manager {
 		m, err := NewManagerWith(eng, world, hypervisor.Config{
 			Name:     name,

@@ -31,9 +31,6 @@ type Config struct {
 	// nymbox reservations (default 0.9); the remainder stays free for
 	// the hypervisor's own growth and KSM scan slack.
 	RAMHeadroom float64
-	// StartsPerCore bounds concurrent startup pipelines at
-	// ceil(StartsPerCore * physical cores) (default 2).
-	StartsPerCore float64
 	// Restart is the per-member failure policy.
 	Restart RestartPolicy
 	// SaveStagger spaces successive save launches in a sweep
@@ -41,14 +38,6 @@ type Config struct {
 	SaveStagger time.Duration
 	// SaveConcurrency caps in-flight saves during a sweep (default 4).
 	SaveConcurrency int
-	// StopConcurrency caps parallel teardowns (default: the start
-	// gate's width).
-	StopConcurrency int
-	// KSMInterval is the merge daemon's period while fleet operations
-	// are in flight (default 100ms). KSMBudget is the page budget per
-	// tick; <0 drains the scan queue (the default).
-	KSMInterval time.Duration
-	KSMBudget   int
 	// Preempt arms the pressure-driven preemption daemon (disabled by
 	// default); see PreemptConfig.
 	Preempt PreemptConfig
@@ -60,12 +49,18 @@ type Config struct {
 	WireBudget float64
 }
 
-func (c *Config) fillDefaults(cores int) {
+// Fixed fleet tuning. Startup pipelines are bounded at startsPerCore
+// per physical core, and teardowns run through a gate of the same
+// width. The KSM merge daemon ticks every ksmInterval while fleet
+// operations are in flight, draining the whole scan queue each tick.
+const (
+	startsPerCore = 2
+	ksmInterval   = 100 * time.Millisecond
+)
+
+func (c *Config) fillDefaults() {
 	if c.RAMHeadroom <= 0 || c.RAMHeadroom > 1 {
 		c.RAMHeadroom = 0.9
-	}
-	if c.StartsPerCore <= 0 {
-		c.StartsPerCore = 2
 	}
 	if c.SaveStagger <= 0 {
 		c.SaveStagger = 250 * time.Millisecond
@@ -73,24 +68,7 @@ func (c *Config) fillDefaults(cores int) {
 	if c.SaveConcurrency <= 0 {
 		c.SaveConcurrency = 4
 	}
-	if c.StopConcurrency <= 0 {
-		c.StopConcurrency = c.startGateWidth(cores)
-	}
-	if c.KSMInterval <= 0 {
-		c.KSMInterval = 100 * time.Millisecond
-	}
-	if c.KSMBudget == 0 {
-		c.KSMBudget = -1
-	}
 	c.Preempt.fillDefaults()
-}
-
-func (c *Config) startGateWidth(cores int) int {
-	w := int(c.StartsPerCore * float64(cores))
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // MemberState is a fleet member's lifecycle state.
@@ -402,7 +380,7 @@ type Orchestrator struct {
 // holds; an uncapped host admits everything immediately.
 func New(mgr *core.Manager, cfg Config) *Orchestrator {
 	host := mgr.Host()
-	cfg.fillDefaults(host.CPU().Config().Cores)
+	cfg.fillDefaults()
 	budget := int64(-1) // uncapped host: admit everything
 	if cap := host.Mem().Capacity(); cap > 0 {
 		budget = int64(cfg.RAMHeadroom*float64(cap)) - host.Mem().UsedBytes()
@@ -422,7 +400,7 @@ func New(mgr *core.Manager, cfg Config) *Orchestrator {
 		cfg:           cfg,
 		ram:           newSem(eng, budget),
 		wire:          newSem(eng, wireBudget),
-		startGate:     newSem(eng, int64(cfg.startGateWidth(host.CPU().Config().Cores))),
+		startGate:     newSem(eng, int64(max(startsPerCore*host.CPU().Config().Cores, 1))),
 		members:       make(map[string]*Member),
 		watchers:      sim.NewBroadcast(eng),
 		pressureSince: -1,
@@ -919,11 +897,9 @@ type SweepStats struct {
 // the periodic, dirty-skipping variant see StartSweeps.
 func (o *Orchestrator) SaveSweep(p *sim.Proc, password string, destFor func(*Member) core.VaultDest) (SweepStats, error) {
 	rec, err := o.runSweep(p, SweepConfig{
-		Password:    password,
-		DestFor:     destFor,
-		Stagger:     o.cfg.SaveStagger,
-		Concurrency: o.cfg.SaveConcurrency,
-		SaveAll:     true,
+		Password: password,
+		DestFor:  destFor,
+		SaveAll:  true,
 	})
 	return SweepStats{
 		Saves:         rec.Saves,
@@ -1020,13 +996,14 @@ func (o *Orchestrator) Detach(name string) error {
 }
 
 // StopAll tears down every Running member in parallel, bounded by
-// StopConcurrency, releasing each reservation as its wipe completes.
-// Queued members that have not been admitted yet are left queued; call
-// AwaitSettled first for a clean shutdown of a mid-ramp fleet.
+// the start gate's width, releasing each reservation as its wipe
+// completes. Queued members that have not been admitted yet are left
+// queued; call AwaitSettled first for a clean shutdown of a mid-ramp
+// fleet.
 func (o *Orchestrator) StopAll(p *sim.Proc) error {
 	o.opStarted()
 	defer o.opDone()
-	gate := newSem(o.eng, int64(o.cfg.StopConcurrency))
+	gate := newSem(o.eng, o.startGate.capacity)
 	var futs []*sim.Future[struct{}]
 	var stopping []*Member
 	var errs []error
@@ -1102,10 +1079,10 @@ func (o *Orchestrator) scheduleKSM() {
 		return
 	}
 	o.ksmScheduled = true
-	o.eng.Schedule(o.cfg.KSMInterval, func() {
+	o.eng.Schedule(ksmInterval, func() {
 		o.ksmScheduled = false
 		o.sampleRAM() // capture the pre-merge spike
-		o.mgr.Host().KSMScan(o.cfg.KSMBudget)
+		o.mgr.Host().KSMScan()
 		if o.needsKSM() {
 			o.scheduleKSM()
 			return

@@ -60,22 +60,10 @@ type SweepConfig struct {
 	// vault destination. Both are required for StartSweeps.
 	Password string
 	DestFor  func(*Member) core.VaultDest
-	// Stagger spaces successive save launches inside one sweep
-	// (default: the orchestrator's SaveStagger). Concurrency caps
-	// in-flight saves per sweep (default: SaveConcurrency).
-	Stagger     time.Duration
-	Concurrency int
 	// SaveAll disables dirty-skip: every Running persistent member is
 	// saved, mutated or not — the naive mode the scheduled sweep is
 	// benchmarked against.
 	SaveAll bool
-	// MaxBackoff caps the exponential backoff applied while the
-	// orchestrator is under admission pressure or preempting
-	// (default 4x Interval). It is also the staleness ceiling: once
-	// the delay is fully backed off, ticks sweep even under pressure —
-	// pressure defers checkpoints, it never cancels them, so a fleet
-	// pinned at capacity still checkpoints at MaxBackoff cadence.
-	MaxBackoff time.Duration
 	// Adaptive scales each member's sweep eligibility from its
 	// observed dirty byte-rate: a pass still considers every Running
 	// persistent member, but a dirty member whose churn has not yet
@@ -84,11 +72,11 @@ type SweepConfig struct {
 	// stretch toward their RPO ceiling.
 	Adaptive bool
 	// RPO is the per-member checkpoint-staleness ceiling the adaptive
-	// cadence enforces (default 4x MaxBackoff): no dirty member is
+	// cadence enforces (default 4x the max backoff): no dirty member is
 	// deferred past the point where its oldest unsaved mutation could
 	// be RPO old, provided passes keep starting within NextPassIn of
 	// each other and complete within one Interval. It is the
-	// per-member analogue of MaxBackoff's scheduler-wide saturation
+	// per-member analogue of the max backoff's scheduler-wide saturation
 	// guarantee — and composes with it: the scheduler's own tick
 	// horizon (backoff included) is folded into NextPassIn, so the
 	// ceiling holds through pressure episodes, not just calm ones.
@@ -102,36 +90,35 @@ type SweepConfig struct {
 	// much, and a member already holding this much dirt saves now.
 	TargetDeltaBytes int64
 	// NextPassIn is the caller's expected time until the next pass
-	// over this fleet (default MaxBackoff — the scheduler's own
+	// over this fleet (default: the max backoff — the scheduler's own
 	// worst-case re-arm). The adaptive cadence never defers a member
 	// whose RPO deadline falls inside this horizon: deferral is only
 	// legal when a later pass can still honor the ceiling.
 	NextPassIn time.Duration
 }
 
-func (c *SweepConfig) fillDefaults(base Config) {
+func (c *SweepConfig) fillDefaults() {
 	if c.Interval <= 0 {
 		c.Interval = 30 * time.Second
 	}
-	if c.Stagger <= 0 {
-		c.Stagger = base.SaveStagger
-	}
-	if c.Concurrency <= 0 {
-		c.Concurrency = base.SaveConcurrency
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 4 * c.Interval
-	}
 	if c.RPO <= 0 {
-		c.RPO = 4 * c.MaxBackoff
+		c.RPO = 4 * c.maxBackoff()
 	}
 	if c.TargetDeltaBytes <= 0 {
 		c.TargetDeltaBytes = 256 << 10
 	}
 	if c.NextPassIn <= 0 {
-		c.NextPassIn = c.MaxBackoff
+		c.NextPassIn = c.maxBackoff()
 	}
 }
+
+// maxBackoff caps the exponential backoff applied while the
+// orchestrator is under admission pressure or preempting: 4x
+// Interval. It is also the staleness ceiling: once the delay is fully
+// backed off, ticks sweep even under pressure — pressure defers
+// checkpoints, it never cancels them, so a fleet pinned at capacity
+// still checkpoints at this cadence.
+func (c *SweepConfig) maxBackoff() time.Duration { return 4 * c.Interval }
 
 // SweepRecord is the telemetry of one scheduled sweep pass (or one
 // backed-off tick).
@@ -291,10 +278,10 @@ func LatencyPercentile(ds []time.Duration, q float64) time.Duration {
 // fires one Interval from now and the scheduler re-arms after every
 // pass until StopSweeps. While the orchestrator is under admission
 // pressure (launches queued for RAM) or a preemption pass is armed or
-// in flight, ticks are skipped and the delay doubles up to MaxBackoff;
-// once saturated, ticks sweep even under pressure (MaxBackoff is the
-// checkpoint-staleness ceiling), and the first calm tick resets the
-// cadence.
+// in flight, ticks are skipped and the delay doubles up to 4x Interval;
+// once saturated, ticks sweep even under pressure (the backoff ceiling
+// is also the checkpoint-staleness ceiling), and the first calm tick
+// resets the cadence.
 func (o *Orchestrator) StartSweeps(cfg SweepConfig) error {
 	if o.sweepCfg != nil {
 		return ErrSweepsRunning
@@ -302,7 +289,7 @@ func (o *Orchestrator) StartSweeps(cfg SweepConfig) error {
 	if cfg.Password == "" || cfg.DestFor == nil {
 		return nymerr.New(CodeSweepUnconfigured, "fleet: sweep scheduler needs Password and DestFor")
 	}
-	cfg.fillDefaults(o.cfg)
+	cfg.fillDefaults()
 	o.sweepCfg = &cfg
 	o.sweepDelay = cfg.Interval
 	o.sweepTimer = o.eng.Schedule(cfg.Interval, o.sweepTick)
@@ -318,9 +305,6 @@ func (o *Orchestrator) StopSweeps() {
 	}
 	o.sweepCfg = nil
 }
-
-// SweepsRunning reports whether the scheduler is installed.
-func (o *Orchestrator) SweepsRunning() bool { return o.sweepCfg != nil }
 
 // AwaitSweepsIdle parks the caller until no sweep pass is in flight.
 // Call it after StopSweeps for a clean teardown boundary.
@@ -346,19 +330,17 @@ func (o *Orchestrator) sweepTick() {
 	if cfg == nil {
 		return
 	}
-	if o.underSavePressure() && o.sweepDelay < cfg.MaxBackoff {
+	maxBackoff := cfg.maxBackoff()
+	if o.underSavePressure() && o.sweepDelay < maxBackoff {
 		o.sweepRecs = append(o.sweepRecs, SweepRecord{At: o.eng.Now(), BackedOff: true})
-		o.sweepDelay *= 2
-		if o.sweepDelay > cfg.MaxBackoff {
-			o.sweepDelay = cfg.MaxBackoff
-		}
+		o.sweepDelay = min(2*o.sweepDelay, maxBackoff)
 		o.sweepTimer = o.eng.Schedule(o.sweepDelay, o.sweepTick)
 		return
 	}
-	// Either calm, or the backoff is saturated at MaxBackoff: sweep
+	// Either calm, or the backoff is saturated at maxBackoff: sweep
 	// anyway. Sustained pressure (a fleet pinned at capacity keeps its
 	// admission queue non-empty forever) must defer checkpoints, never
-	// starve them — MaxBackoff is the staleness ceiling.
+	// starve them — maxBackoff is the staleness ceiling.
 	if !o.underSavePressure() {
 		o.sweepDelay = cfg.Interval
 	}
@@ -377,11 +359,11 @@ func (o *Orchestrator) sweepTick() {
 	// can still honor its RPO. The next pass is NOT simply one
 	// sweepDelay away: if pressure arrives right after this (calm)
 	// pass, the following ticks back off — Interval, 2x, 4x, ... up
-	// to MaxBackoff — before a pass is forced at saturation. That
-	// chain sums to under twice MaxBackoff, so that is the horizon
+	// to maxBackoff — before a pass is forced at saturation. That
+	// chain sums to under twice maxBackoff, so that is the horizon
 	// the cadence must assume.
 	run := *cfg
-	run.NextPassIn = 2 * cfg.MaxBackoff
+	run.NextPassIn = 2 * maxBackoff
 	o.sweeping++
 	o.eng.Go("fleet/sweep", func(p *sim.Proc) {
 		o.SweepOnce(p, run)
@@ -401,10 +383,10 @@ func (o *Orchestrator) sweepTick() {
 // process and records its telemetry: every Running persistent member
 // is considered; clean members are skipped (unless SaveAll), members
 // already mid-save are left alone, and the rest are checkpointed with
-// the pass's stagger and concurrency bound. The cluster-wide sweep
+// the fleet's SaveStagger and SaveConcurrency. The cluster-wide sweep
 // coordinator calls this per host inside its stagger slots.
 func (o *Orchestrator) SweepOnce(p *sim.Proc, cfg SweepConfig) (SweepRecord, error) {
-	cfg.fillDefaults(o.cfg)
+	cfg.fillDefaults()
 	o.sweeping++
 	rec, err := o.runSweep(p, cfg)
 	o.sweeping--
@@ -471,7 +453,7 @@ func (o *Orchestrator) runSweep(p *sim.Proc, cfg SweepConfig) (SweepRecord, erro
 	o.opStarted()
 	defer o.opDone()
 	rec := SweepRecord{At: p.Now()}
-	gate := newSem(o.eng, int64(cfg.Concurrency))
+	gate := newSem(o.eng, int64(o.cfg.SaveConcurrency))
 	var futs []*sim.Future[core.SaveResult]
 	var saved []*Member
 	var dests []core.VaultDest
@@ -507,7 +489,7 @@ func (o *Orchestrator) runSweep(p *sim.Proc, cfg SweepConfig) (SweepRecord, erro
 			continue
 		}
 		if !first {
-			p.Sleep(cfg.Stagger)
+			p.Sleep(o.cfg.SaveStagger)
 		}
 		first = false
 		sim.Await(p, gate.reserve(1))

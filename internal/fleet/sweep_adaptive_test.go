@@ -156,7 +156,7 @@ func TestAdaptiveCadenceDefersColdMembers(t *testing.T) {
 
 // TestAdaptiveCadenceHonorsRPOUnderPressure is the safety property:
 // with sustained admission pressure backing the scheduler off to its
-// MaxBackoff cadence AND TargetDeltaBytes set far beyond reach (so
+// maxBackoff cadence AND TargetDeltaBytes set far beyond reach (so
 // only the RPO horizon can force a save), every member keeps getting
 // checkpointed and no staleness sample ever exceeds the RPO ceiling.
 func TestAdaptiveCadenceHonorsRPOUnderPressure(t *testing.T) {
@@ -213,7 +213,7 @@ func TestAdaptiveCadenceHonorsRPOUnderPressure(t *testing.T) {
 			t.Errorf("Deferred = %d, want >= 2 (cadence never stretched)", rep.Deferred)
 		}
 		// Deferral must actually stretch cadence beyond the forced
-		// MaxBackoff tick gap — otherwise the RPO bound is vacuous.
+		// maxBackoff tick gap — otherwise the RPO bound is vacuous.
 		if rep.StalenessP95 < 60*time.Second {
 			t.Errorf("staleness p95 = %v, want >= 60s (saves every pass; nothing deferred)",
 				rep.StalenessP95)

@@ -185,13 +185,13 @@ func TestSweepSchedulerBacksOffUnderPressure(t *testing.T) {
 			}
 		}
 		// The backoff saturates rather than starves: with pressure still
-		// standing, the tick after the delay hits MaxBackoff (4x the
-		// 10s interval) sweeps anyway — MaxBackoff is the staleness
+		// standing, the tick after the delay hits maxBackoff (4x the
+		// 10s interval) sweeps anyway — maxBackoff is the staleness
 		// ceiling, not a mute button. (The forced tick fires at +70s;
 		// give its pass time to finish and record.)
 		p.Sleep(85 * time.Second)
 		if rep := o.SweepReport(); rep.Sweeps == 0 {
-			t.Error("no forced sweep at MaxBackoff cadence under sustained pressure; checkpoints starved")
+			t.Error("no forced sweep at maxBackoff cadence under sustained pressure; checkpoints starved")
 		}
 		// Clear the pressure: stop a member so the queued launch admits.
 		if err := o.Stop(p, o.Members()[0].Name()); err != nil {

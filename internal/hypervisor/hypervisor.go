@@ -128,10 +128,6 @@ func (h *Host) Node() *vnet.Node { return h.node }
 // BaseImage returns the sealed shared base image.
 func (h *Host) BaseImage() *unionfs.Layer { return h.baseImage }
 
-// BaseImageRoot returns the well-known Merkle root of the host OS
-// partition, stamped when the Nymix image was built.
-func (h *Host) BaseImageRoot() merkle.Hash { return h.baseRoot }
-
 // VerifyBaseImage checks the host partition against the well-known
 // Merkle root (the section 3.4 integrity mechanism). Nymix refuses to
 // launch VMs from a modified partition, since "those modifications,
@@ -303,8 +299,8 @@ func (h *Host) MoveFile(from *vm.VM, fromPath string, to *vm.VM, toPath string) 
 	return nil
 }
 
-// KSMScan runs one bounded KSM pass (budget pages; negative drains).
-func (h *Host) KSMScan(budget int) int { return h.mem.Scan(budget) }
+// KSMScan runs one KSM pass that drains the scan queue.
+func (h *Host) KSMScan() int { return h.mem.ScanAll() }
 
 // MemStats returns the host memory snapshot after letting KSM catch
 // up, which is how the Figure 3 measurements are taken.

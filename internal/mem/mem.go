@@ -93,15 +93,6 @@ func (h *Host) UsedBytes() int64 {
 	return (h.framesPrivate + int64(len(h.stable))) * PageSize
 }
 
-// FreeBytes returns remaining capacity, or a very large number when the
-// host is uncapped.
-func (h *Host) FreeBytes() int64 {
-	if h.capacity == 0 {
-		return 1 << 62
-	}
-	return h.capacity - h.UsedBytes()
-}
-
 // Stats is a snapshot of the host's memory accounting, mirroring the
 // counters Linux exposes under /sys/kernel/mm/ksm.
 type Stats struct {

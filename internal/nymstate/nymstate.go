@@ -125,9 +125,9 @@ type stateWire struct {
 	AnonState []kvWire // sorted by key
 }
 
-// sortedPaths returns an image's file paths in sorted order — the one
+// SortedPaths returns an image's file paths in sorted order — the one
 // deterministic walk order shared by serialization and size pricing.
-func sortedPaths(files map[string]unionfs.FileImage) []string {
+func SortedPaths(files map[string]unionfs.FileImage) []string {
 	paths := make([]string, 0, len(files))
 	for p := range files {
 		paths = append(paths, p)
@@ -139,7 +139,7 @@ func sortedPaths(files map[string]unionfs.FileImage) []string {
 func imageToWire(img unionfs.Image) imageWire {
 	w := imageWire{Name: img.Name, Whiteouts: append([]string(nil), img.Whiteouts...)}
 	sort.Strings(w.Whiteouts)
-	for _, p := range sortedPaths(img.Files) {
+	for _, p := range SortedPaths(img.Files) {
 		f := img.Files[p]
 		w.Files = append(w.Files, fileWire{
 			Path: p, Data: f.Data, Real: f.Real,
@@ -275,7 +275,7 @@ func compressedSizeModel(images ...unionfs.Image) int64 {
 		// Walk files in sorted path order: gzip's output length depends
 		// on input order, and map iteration would make the same image
 		// price differently across runs.
-		for _, path := range sortedPaths(img.Files) {
+		for _, path := range SortedPaths(img.Files) {
 			f := img.Files[path]
 			if f.Real {
 				zw.Write([]byte(path))

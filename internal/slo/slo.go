@@ -167,7 +167,15 @@ func FromCluster(c *cluster.Cluster) Report {
 	b.r.GCReclaimedBytes = crep.GCReclaimedBytes
 	b.r.GCWireBytes = crep.GCWireBytes
 	b.r.CheckpointWireBytes += crep.GCWireBytes
+	// The host reports above already count each failed save. The
+	// coordinator adds one wrapped error per failing slot pass on top
+	// of those; only its batched-move and idle-slot GC errors are new.
 	b.r.SweepErrors += len(c.SweepErrors())
+	for _, s := range crep.Slots {
+		if s.Record.Errors > 0 {
+			b.r.SweepErrors--
+		}
+	}
 	return b.finish()
 }
 

@@ -160,3 +160,56 @@ func TestFromClusterAggregatesSweepsAndRender(t *testing.T) {
 		}
 	}
 }
+
+// TestFromClusterCountsFailedSlotSavesOnce points every slot pass at
+// a provider that does not exist. Each failed save lands in its
+// host's sweep report and again, wrapped per slot, in the
+// coordinator's error log; the report must count each failure once.
+func TestFromClusterCountsFailedSlotSavesOnce(t *testing.T) {
+	eng := sim.NewEngine(13)
+	_, world := webworld.BuildDefault(eng)
+	c, err := cluster.New(eng, world, cluster.Config{
+		Hosts:      2,
+		HostConfig: hypervisor.Config{RAMBytes: 8 << 30, CPU: cpusched.DefaultConfig()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(t, eng, func(p *sim.Proc) {
+		for i := 0; i < 4; i++ {
+			name := fmt.Sprintf("nym%02d", i)
+			if err := c.Launch(fleet.Spec{Name: name, Opts: smallOpts(core.ModelPersistent)}); err != nil {
+				t.Errorf("launch %s: %v", name, err)
+			}
+		}
+		if err := c.AwaitRunning(p, 4); err != nil {
+			t.Errorf("await: %v", err)
+		}
+		if err := c.StartSweeps(cluster.SweepConfig{
+			Interval: 10 * time.Second,
+			SaveAll:  true,
+			DestFor: func(name string) core.VaultDest {
+				return core.VaultDest{Providers: []string{"nowhere"}, Account: "acct-" + name, AccountPassword: "pw"}
+			},
+		}); err != nil {
+			t.Errorf("sweeps: %v", err)
+		}
+		p.Sleep(25 * time.Second)
+		c.StopSweeps()
+		c.AwaitSweepsIdle(p)
+		if err := c.StopAll(p); err != nil {
+			t.Errorf("stop: %v", err)
+		}
+	})
+	failedSaves := 0
+	for _, h := range c.Hosts() {
+		failedSaves += h.Fleet().SweepReport().Errors
+	}
+	if failedSaves == 0 || len(c.SweepErrors()) == 0 {
+		t.Fatalf("scenario produced %d failed saves and %d coordinator errors; want both nonzero",
+			failedSaves, len(c.SweepErrors()))
+	}
+	if rep := FromCluster(c); rep.SweepErrors != failedSaves {
+		t.Fatalf("SweepErrors = %d, want %d (one per failed save)", rep.SweepErrors, failedSaves)
+	}
+}

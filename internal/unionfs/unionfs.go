@@ -122,9 +122,6 @@ func (l *Layer) UsedBytes() int64 {
 	return n
 }
 
-// FileCount returns the number of files stored in this layer.
-func (l *Layer) FileCount() int { return len(l.files) }
-
 func (l *Layer) delta(d int64) {
 	if l.onDelta != nil && d != 0 {
 		l.onDelta(d)
@@ -287,9 +284,6 @@ func Stack(layers ...*Layer) (*FS, error) {
 
 // Top returns the writable top layer.
 func (fs *FS) Top() *Layer { return fs.layers[0] }
-
-// Layers returns the stack, top-first.
-func (fs *FS) Layers() []*Layer { return fs.layers }
 
 // clean canonicalizes a path: absolute, slash-separated, no trailing
 // slash.

@@ -13,7 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
 	"strings"
 
 	"nymix/internal/cloud"
@@ -229,9 +229,6 @@ func (ix *Index) Forget(provider string, a Addr) {
 // does still hold are not re-shipped.
 func (ix *Index) Drop(provider string) { delete(ix.present, provider) }
 
-// Known returns how many chunks the index believes the provider holds.
-func (ix *Index) Known(provider string) int { return len(ix.present[provider]) }
-
 // KnownBytes returns the total wire size of the chunks the index
 // believes the provider holds — what a restore served entirely by that
 // provider would download, before the manifest and batch framing.
@@ -336,12 +333,7 @@ func chunkState(st *nymstate.State, ks keys) chunked {
 		return i
 	}
 	for disk, img := range []unionfs.Image{st.AnonDisk, st.CommDisk} {
-		paths := make([]string, 0, len(img.Files))
-		for p := range img.Files {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		for _, path := range paths {
+		for _, path := range nymstate.SortedPaths(img.Files) {
 			f := img.Files[path]
 			fe := FileEntry{Disk: disk, Path: path, Real: f.Real, VirtualSize: f.VirtualSize, Entropy: f.Entropy}
 			// WireSize stays zero here: pricing is deferred to
@@ -444,7 +436,7 @@ func (v *Store) Save(p *sim.Proc, st *nymstate.State, password string, sessions 
 		CommDiskName:  st.CommDisk.Name,
 		AnonWhiteouts: append([]string(nil), st.AnonDisk.Whiteouts...),
 		CommWhiteouts: append([]string(nil), st.CommDisk.Whiteouts...),
-		AnonState:     copyState(st.AnonState),
+		AnonState:     maps.Clone(st.AnonState),
 		Files:         c.files,
 		Chunks:        c.refs,
 		Root:          merkle.BuildHashes(chunkLeaves(c.refs)).Root(),
@@ -536,7 +528,7 @@ func (v *Store) Save(p *sim.Proc, st *nymstate.State, password string, sessions 
 // The returned error distinguishes "no manifest anywhere" from "a
 // manifest exists but the password cannot open it"; wire reports the
 // manifest bytes downloaded while looking.
-func (v *Store) latestManifest(p *sim.Proc, password string, sessions []*cloud.Session) (man *Manifest, wire int64, err error) {
+func (v *Store) latestManifest(p *sim.Proc, ks keys, sessions []*cloud.Session) (man *Manifest, wire int64, err error) {
 	var best *Manifest
 	var openErr, fetchErr error
 	for _, sess := range sessions {
@@ -551,7 +543,7 @@ func (v *Store) latestManifest(p *sim.Proc, password string, sessions []*cloud.S
 			continue
 		}
 		wire += blob.WireSize
-		m, err := openManifest(blob.Data, password, v.name)
+		m, err := openManifest(blob.Data, ks, v.name)
 		if err != nil {
 			openErr = err
 			continue
@@ -600,7 +592,7 @@ func (v *Store) Load(p *sim.Proc, password string, sessions []*cloud.Session) (*
 	// Manifest: consult every reachable provider and restore the
 	// highest sequence number, so a single stale or rolled-back
 	// provider cannot silently win.
-	man, manWire, err := v.latestManifest(p, password, sessions)
+	man, manWire, err := v.latestManifest(p, ks, sessions)
 	stats.DownloadedBytes += manWire
 	if err != nil {
 		return nil, stats, err
@@ -767,7 +759,7 @@ func (man *Manifest) buildState(plain map[Addr][]byte) (*nymstate.State, error) 
 		Cycles:    man.Cycles,
 		AnonDisk:  anon,
 		CommDisk:  comm,
-		AnonState: copyState(man.AnonState),
+		AnonState: maps.Clone(man.AnonState),
 	}, nil
 }
 
@@ -790,7 +782,7 @@ func (v *Store) GC(p *sim.Proc, password string, sessions []*cloud.Session) (GCS
 	if len(sessions) == 0 {
 		return GCStats{}, ErrNoSessions
 	}
-	man, manWire, err := v.latestManifest(p, password, sessions)
+	man, manWire, err := v.latestManifest(p, deriveKeys(password, v.name), sessions)
 	if err != nil {
 		return GCStats{ManifestBytes: manWire}, err
 	}
@@ -885,10 +877,9 @@ func sealManifest(man *Manifest, ks keys, rnd nymstate.RandSource) (cloud.Blob, 
 	return cloud.Blob{Data: data, WireSize: int64(len(data))}, nil
 }
 
-// openManifest reverses sealManifest; a wrong password fails
-// authentication with nymstate.ErrBadPassword.
-func openManifest(data []byte, password, name string) (*Manifest, error) {
-	ks := deriveKeys(password, name)
+// openManifest reverses sealManifest; keys derived from a wrong
+// password fail authentication with nymstate.ErrBadPassword.
+func openManifest(data []byte, ks keys, name string) (*Manifest, error) {
 	gcm, err := ks.aead()
 	if err != nil {
 		return nil, err
@@ -926,15 +917,4 @@ func openManifest(data []byte, password, name string) (*Manifest, error) {
 		}
 	}
 	return &man, nil
-}
-
-func copyState(st map[string]string) map[string]string {
-	if st == nil {
-		return nil
-	}
-	out := make(map[string]string, len(st))
-	for k, v := range st {
-		out[k] = v
-	}
-	return out
 }
