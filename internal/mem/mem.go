@@ -9,12 +9,22 @@
 // a 64-bit content hash. Pages written from the same content class
 // (for example, the same base-image block) hash equally across address
 // spaces and are therefore mergeable, exactly the property KSM keys on.
+//
+// The layout is dense and holds no pointer per page, so the garbage
+// collector has almost nothing to trace however much memory a host
+// models. Each Space keeps a slice of page values indexed by page
+// number. Physical frames live in one table per host, recycled through
+// a free list, and the KSM stable tree maps a content hash to a frame
+// index. The scan queue holds one run of pages per write call rather
+// than one entry per page; every write call takes a fresh host-wide
+// sequence number, and a queued page is scanned only while its own
+// sequence number still equals its run's, so a rewrite, Free or
+// Release turns the queued entry stale without touching the queue.
 package mem
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 )
 
 // PageSize is the size of one page in bytes (4 KiB, as on x86-64).
@@ -24,36 +34,45 @@ const PageSize = 4096
 // host's physical capacity.
 var ErrOutOfMemory = errors.New("mem: out of host memory")
 
-// frame is one physical page frame tracked by the KSM stable tree.
-// refs counts the logical pages currently backed by this frame.
+// frame is one physical page frame in the KSM stable tree. refs counts
+// the logical pages it backs; a frame with no refs is on the free list.
 type frame struct {
 	hash uint64
 	refs int64
 }
 
-// page is one logical page in a Space.
+// page is one logical page slot in a Space.
 type page struct {
-	hash uint64
-	f    *frame // nil until the KSM scanner has processed the page
-	gen  uint64 // bumped on every write; invalidates queued scans
+	hash  uint64
+	seq   uint64 // write sequence number of the last content change
+	frame int32  // index into Host.frames; 0 while the page is private
+	live  bool
 }
 
-// pageRef identifies a logical page awaiting a KSM scan.
-type pageRef struct {
-	space *Space
-	idx   int64
-	gen   uint64
+// run is a queued range [start, end) of pages that one write call
+// gave content under sequence number seq.
+type run struct {
+	space      *Space
+	start, end int64
+	seq        uint64
 }
 
 // Host models a machine's physical memory and its KSM daemon state.
 type Host struct {
 	capacity int64 // bytes; 0 means unlimited
 	spaces   map[string]*Space
-	stable   map[uint64]*frame
-	pending  []pageRef
+	frames   []frame // frames[0] is unused so a zero page.frame means none
+	free     []int32 // indices of frames with no refs
+	stable   map[uint64]int32
+	queue    []run // runs awaiting the scanner; queue[head:] is pending
+	head     int
+	pending  int64  // pages in queue[head:]
+	seq      uint64 // last write sequence number handed out
 	// framesPrivate counts logical pages not yet absorbed into the
 	// stable tree; each occupies its own physical frame.
 	framesPrivate int64
+	shared        int64 // frames with 2+ refs
+	sharing       int64 // refs held on frames with 2+ refs
 	scrubbed      int64 // bytes securely erased over the host's lifetime
 	merged        int64 // pages merged by KSM over the host's lifetime
 	cowBreaks     int64 // copy-on-write breaks of shared frames
@@ -65,7 +84,8 @@ func NewHost(capacity int64) *Host {
 	return &Host{
 		capacity: capacity,
 		spaces:   make(map[string]*Space),
-		stable:   make(map[uint64]*frame),
+		frames:   make([]frame, 1),
+		stable:   make(map[uint64]int32),
 	}
 }
 
@@ -79,7 +99,7 @@ func (h *Host) NewSpace(name string) (*Space, error) {
 	if _, ok := h.spaces[name]; ok {
 		return nil, fmt.Errorf("mem: space %q already exists", name)
 	}
-	s := &Space{host: h, name: name, pages: make(map[int64]*page)}
+	s := &Space{host: h, name: name, uniqueSeed: fnvString(fnvOffset, "unique/"+name)}
 	h.spaces[name] = s
 	return s, nil
 }
@@ -108,20 +128,12 @@ type Stats struct {
 
 // Stats returns the current accounting snapshot.
 func (h *Host) Stats() Stats {
-	var shared, sharing, saved int64
-	for _, f := range h.stable {
-		if f.refs >= 2 {
-			shared++
-			sharing += f.refs
-			saved += (f.refs - 1) * PageSize
-		}
-	}
 	return Stats{
 		UsedBytes:     h.UsedBytes(),
-		PagesShared:   shared,
-		PagesSharing:  sharing,
-		SavedBytes:    saved,
-		PendingScan:   int64(len(h.pending)),
+		PagesShared:   h.shared,
+		PagesSharing:  h.sharing,
+		SavedBytes:    (h.sharing - h.shared) * PageSize,
+		PendingScan:   h.pending,
 		ScrubbedBytes: h.scrubbed,
 		MergedPages:   h.merged,
 		COWBreaks:     h.cowBreaks,
@@ -130,30 +142,49 @@ func (h *Host) Stats() Stats {
 
 // Scan runs the KSM scanner over up to maxPages queued pages and
 // returns the number of pages merged into existing frames. Pass a
-// negative maxPages to drain the queue.
+// negative maxPages to drain the queue. Queued pages that were since
+// rewritten, freed or released are skipped and do not count against
+// maxPages.
 func (h *Host) Scan(maxPages int) int {
 	mergedNow := 0
 	processed := 0
-	for len(h.pending) > 0 && (maxPages < 0 || processed < maxPages) {
-		ref := h.pending[0]
-		h.pending = h.pending[1:]
-		pg, ok := ref.space.pages[ref.idx]
-		if !ok || pg.gen != ref.gen || pg.f != nil {
-			continue // page freed, rewritten, or already scanned
-		}
-		processed++
-		if f, ok := h.stable[pg.hash]; ok {
-			f.refs++
-			pg.f = f
+	for h.head < len(h.queue) && (maxPages < 0 || processed < maxPages) {
+		r := &h.queue[h.head]
+		pages := r.space.pages
+		for r.start < r.end && (maxPages < 0 || processed < maxPages) {
+			if r.start >= int64(len(pages)) { // space released
+				h.pending -= r.end - r.start
+				r.start = r.end
+				break
+			}
+			// A sequence number names one write call, which gives each
+			// page at most once, so a page matching its run has not
+			// been absorbed yet.
+			pg := &pages[r.start]
+			r.start++
+			h.pending--
+			if !pg.live || pg.seq != r.seq {
+				continue // page freed or rewritten since it was queued
+			}
+			processed++
+			if fi, ok := h.stable[pg.hash]; ok {
+				h.ref(fi)
+				pg.frame = fi
+				h.framesPrivate--
+				h.merged++
+				mergedNow++
+				continue
+			}
+			pg.frame = h.newFrame(pg.hash)
 			h.framesPrivate--
-			h.merged++
-			mergedNow++
-			continue
 		}
-		f := &frame{hash: pg.hash, refs: 1}
-		h.stable[pg.hash] = f
-		pg.f = f
-		h.framesPrivate--
+		if r.start == r.end {
+			*r = run{}
+			h.head++
+		}
+	}
+	if h.head == len(h.queue) {
+		h.queue, h.head = h.queue[:0], 0
 	}
 	return mergedNow
 }
@@ -161,36 +192,126 @@ func (h *Host) Scan(maxPages int) int {
 // ScanAll drains the scan queue, returning total pages merged.
 func (h *Host) ScanAll() int { return h.Scan(-1) }
 
+// enqueue queues pages [start, end) of s, written under seq, for the
+// scanner. Once the backing array is full, the consumed prefix is
+// reclaimed before it grows.
+func (h *Host) enqueue(s *Space, start, end int64, seq uint64) {
+	if start == end {
+		return
+	}
+	if h.head > 0 && len(h.queue) == cap(h.queue) {
+		n := copy(h.queue, h.queue[h.head:])
+		clear(h.queue[n:])
+		h.queue, h.head = h.queue[:n], 0
+	}
+	h.queue = append(h.queue, run{space: s, start: start, end: end, seq: seq})
+	h.pending += end - start
+}
+
+// newFrame puts hash into the stable tree on a fresh frame with one
+// ref and returns the frame's index.
+func (h *Host) newFrame(hash uint64) int32 {
+	var fi int32
+	if n := len(h.free); n > 0 {
+		fi = h.free[n-1]
+		h.free = h.free[:n-1]
+	} else {
+		fi = int32(len(h.frames))
+		h.frames = append(h.frames, frame{})
+	}
+	h.frames[fi] = frame{hash: hash, refs: 1}
+	h.stable[hash] = fi
+	return fi
+}
+
+// ref adds a ref to frame fi, keeping the sharing counters current.
+func (h *Host) ref(fi int32) {
+	f := &h.frames[fi]
+	f.refs++
+	switch {
+	case f.refs == 2:
+		h.shared++
+		h.sharing += 2
+	case f.refs > 2:
+		h.sharing++
+	}
+}
+
+// detach disconnects a page from its stable frame (a copy-on-write
+// break when the frame was shared). Afterwards the page is in the
+// private state and counted in framesPrivate; detaching an
+// already-private page is a no-op.
+func (h *Host) detach(pg *page) {
+	if pg.frame == 0 {
+		return
+	}
+	f := &h.frames[pg.frame]
+	switch {
+	case f.refs == 2:
+		h.shared--
+		h.sharing -= 2
+		h.cowBreaks++
+	case f.refs > 2:
+		h.sharing--
+		h.cowBreaks++
+	}
+	f.refs--
+	if f.refs == 0 {
+		delete(h.stable, f.hash)
+		h.free = append(h.free, pg.frame)
+	}
+	pg.frame = 0
+	h.framesPrivate++
+}
+
 // Space is one address space (a VM's RAM plus its RAM-backed writable
 // disk, since Nymix VMs store all file-system writes in host RAM).
+// Its pages are stored densely by page number, so a space costs memory
+// up to the highest page ever written.
 type Space struct {
-	host   *Host
-	name   string
-	pages  map[int64]*page
-	nextUn uint64 // counter for unique (never-mergeable) content
-	dead   bool
+	host       *Host
+	name       string
+	pages      []page
+	touched    int64  // live pages
+	uniqueSeed uint64 // FNV-1a state after "unique/"+name
+	nextUn     uint64 // counter for unique (never-mergeable) content
+	dead       bool
 }
 
 // Name returns the space's name.
 func (s *Space) Name() string { return s.name }
 
 // TouchedPages returns the number of resident logical pages.
-func (s *Space) TouchedPages() int64 { return int64(len(s.pages)) }
+func (s *Space) TouchedPages() int64 { return s.touched }
 
 // TouchedBytes returns resident logical bytes (before any sharing).
-func (s *Space) TouchedBytes() int64 { return int64(len(s.pages)) * PageSize }
+func (s *Space) TouchedBytes() int64 { return s.touched * PageSize }
 
-// classHash hashes a content class name and page offset to a stable
-// 64-bit content identifier.
-func classHash(class string, i int64) uint64 {
-	hsh := fnv.New64a()
-	hsh.Write([]byte(class))
-	var b [8]byte
-	for k := 0; k < 8; k++ {
-		b[k] = byte(uint64(i) >> (8 * k))
+// 64-bit FNV-1a parameters (hash/fnv's New64a), inlined so a page's
+// hash extends a precomputed class-name state without allocating.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvString extends FNV-1a state h with the bytes of s.
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime
 	}
-	hsh.Write(b[:])
-	return hsh.Sum64()
+	return h
+}
+
+// fnvOffsetHash extends FNV-1a state h, taken after a content class
+// name, with the little-endian bytes of page offset i. The result is
+// the page's stable 64-bit content identifier.
+func fnvOffsetHash(h uint64, i int64) uint64 {
+	for k := 0; k < 8; k++ {
+		h ^= uint64(i) >> (8 * k) & 0xff
+		h *= fnvPrime
+	}
+	return h
 }
 
 // zeroHash is the content hash of the all-zero page. All zero pages on
@@ -202,8 +323,9 @@ const zeroHash = 0x5a45524f50414745 // "ZEROPAGE"
 // offset in any space are identical and thus KSM-mergeable. The i-th
 // page gets the content of class offset classBase+i.
 func (s *Space) WriteClass(start, n int64, class string, classBase int64) error {
+	seed := fnvString(fnvOffset, class)
 	return s.write(start, n, func(i int64) uint64 {
-		return classHash(class, classBase+i)
+		return fnvOffsetHash(seed, classBase+i)
 	})
 }
 
@@ -219,10 +341,15 @@ func (s *Space) WriteZero(start, n int64) error {
 func (s *Space) WriteUnique(start, n int64) error {
 	return s.write(start, n, func(int64) uint64 {
 		s.nextUn++
-		return classHash("unique/"+s.name, int64(s.nextUn))
+		return fnvOffsetHash(s.uniqueSeed, int64(s.nextUn))
 	})
 }
 
+// write gives pages [start, start+n) the content hashes content(i)
+// under one fresh sequence number and queues every page whose content
+// changed. A page rewritten with the content it already holds keeps
+// its sequence number, frame and any queued entry; it splits the run,
+// so the queue counts exactly the pages that changed.
 func (s *Space) write(start, n int64, content func(i int64) uint64) error {
 	if s.dead {
 		return fmt.Errorf("mem: write to released space %q", s.name)
@@ -230,59 +357,52 @@ func (s *Space) write(start, n int64, content func(i int64) uint64) error {
 	if n < 0 || start < 0 {
 		return fmt.Errorf("mem: invalid write range start=%d n=%d", start, n)
 	}
+	if n == 0 {
+		return nil
+	}
 	h := s.host
-	for i := int64(0); i < n; i++ {
-		idx := start + i
-		hash := content(i)
-		pg, exists := s.pages[idx]
-		if exists {
+	h.seq++
+	seq := h.seq
+	end := start + n
+	if grow := end - int64(len(s.pages)); grow > 0 {
+		s.pages = append(s.pages, make([]page, grow)...)
+	}
+	runStart := start
+	for idx := start; idx < end; idx++ {
+		hash := content(idx - start)
+		pg := &s.pages[idx]
+		if pg.live {
 			if pg.hash == hash {
-				continue // idempotent rewrite of identical content
+				h.enqueue(s, runStart, idx, seq) // idempotent rewrite
+				runStart = idx + 1
+				continue
 			}
-			s.detach(pg)
-			pg.hash = hash
-			pg.gen++
-			h.pending = append(h.pending, pageRef{s, idx, pg.gen})
-			continue
+			h.detach(pg)
+		} else {
+			if h.capacity != 0 && h.UsedBytes()+PageSize > h.capacity {
+				h.enqueue(s, runStart, idx, seq)
+				return fmt.Errorf("%w: space %q at %d pages", ErrOutOfMemory, s.name, s.touched)
+			}
+			pg.live = true
+			s.touched++
+			h.framesPrivate++
 		}
-		if h.capacity != 0 && h.UsedBytes()+PageSize > h.capacity {
-			return fmt.Errorf("%w: space %q at %d pages", ErrOutOfMemory, s.name, len(s.pages))
-		}
-		pg = &page{hash: hash}
-		s.pages[idx] = pg
-		h.framesPrivate++
-		h.pending = append(h.pending, pageRef{s, idx, pg.gen})
+		pg.hash = hash
+		pg.seq = seq
 	}
+	h.enqueue(s, runStart, end, seq)
 	return nil
-}
-
-// detach disconnects a page from its stable frame (a copy-on-write
-// break when the frame was shared). Afterwards the page is in the
-// private state and counted in framesPrivate; detaching an
-// already-private page is a no-op.
-func (s *Space) detach(pg *page) {
-	if pg.f == nil {
-		return
-	}
-	h := s.host
-	if pg.f.refs >= 2 {
-		h.cowBreaks++
-	}
-	pg.f.refs--
-	if pg.f.refs == 0 {
-		delete(h.stable, pg.f.hash)
-	}
-	pg.f = nil
-	h.framesPrivate++
 }
 
 // Free releases n pages starting at start. Missing pages are skipped.
 func (s *Space) Free(start, n int64) {
-	for i := int64(0); i < n; i++ {
-		if pg, ok := s.pages[start+i]; ok {
-			s.detach(pg)
+	end := min(start+n, int64(len(s.pages)))
+	for idx := max(start, 0); idx < end; idx++ {
+		if pg := &s.pages[idx]; pg.live {
+			s.host.detach(pg)
 			s.host.framesPrivate--
-			delete(s.pages, start+i)
+			pg.live = false
+			s.touched--
 		}
 	}
 }
@@ -293,12 +413,15 @@ func (s *Space) Free(start, n int64) {
 // CommVM's memory immediately" (section 3.4).
 func (s *Space) Release() {
 	h := s.host
-	for idx, pg := range s.pages {
-		s.detach(pg)
-		h.framesPrivate--
-		h.scrubbed += PageSize
-		delete(s.pages, idx)
+	for idx := range s.pages {
+		if pg := &s.pages[idx]; pg.live {
+			h.detach(pg)
+			h.framesPrivate--
+			h.scrubbed += PageSize
+		}
 	}
+	s.pages = nil
+	s.touched = 0
 	s.dead = true
 	delete(h.spaces, s.name)
 }

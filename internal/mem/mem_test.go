@@ -250,6 +250,22 @@ func TestStaleScanEntriesSkipped(t *testing.T) {
 	}
 }
 
+// A page freed and written again is a new page: a scan entry queued
+// for the freed one must not scan it. The scanner skips the stale
+// entry, absorbs the page through its own entry, and leaves nothing
+// pending.
+func TestFreedPageStaleEntrySkipped(t *testing.T) {
+	h := NewHost(0)
+	a := mustSpace(t, h, "a")
+	a.WriteUnique(5, 1)
+	a.Free(5, 1)
+	a.WriteUnique(5, 1)
+	h.Scan(1)
+	if st := h.Stats(); st.PendingScan != 0 || st.UsedBytes != PageSize {
+		t.Fatalf("after Scan(1): pending=%d used=%d, want 0 and one page", st.PendingScan, st.UsedBytes)
+	}
+}
+
 // Property: for any interleaving of identical-class writes across
 // spaces, after a full scan, used frames equal the number of distinct
 // (class offset) hashes, and logical bytes are conserved.
