@@ -16,6 +16,7 @@ package mixnet
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -319,8 +320,10 @@ func (c *Client) Fetch(p *sim.Proc, req anonnet.Request) (anonnet.FetchResult, e
 // receiveFrames carries n padded frames from the exit back to the
 // client through the reverse cascade, charging the return mix delays.
 func (c *Client) receiveFrames(p *sim.Proc, n int64) error {
+	back := slices.Clone(c.mids())
+	slices.Reverse(back)
 	fut := c.net.StartTransfer(vnet.TransferOpts{
-		From: c.exit(), To: c.commNode, Via: reverse(c.mids()),
+		From: c.exit(), To: c.commNode, Via: back,
 		Bytes: n * PacketSize, Proto: Proto, NoHandshake: true,
 	})
 	if _, err := sim.Await(p, fut); err != nil {
@@ -392,14 +395,6 @@ func (c *Client) Stop() {
 		f.done.Complete(struct{}{}, anonnet.ErrNotReady)
 	}
 	c.sendQ = nil
-}
-
-func reverse(s []string) []string {
-	out := make([]string, len(s))
-	for i, v := range s {
-		out[len(s)-1-i] = v
-	}
-	return out
 }
 
 var _ anonnet.Transport = (*Client)(nil)

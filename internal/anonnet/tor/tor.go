@@ -19,6 +19,7 @@ package tor
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -280,8 +281,10 @@ func (c *Client) Fetch(p *sim.Proc, req anonnet.Request) (anonnet.FetchResult, e
 		return anonnet.FetchResult{}, fmt.Errorf("tor: upstream: %w", err)
 	}
 	if req.RecvBytes > 0 {
+		back := slices.Clone(c.circuit)
+		slices.Reverse(back)
 		down := c.net.StartTransfer(vnet.TransferOpts{
-			From: req.SiteNode, To: c.commNode, Via: reverse(c.circuit),
+			From: req.SiteNode, To: c.commNode, Via: back,
 			Bytes: req.RecvBytes, Proto: c.wireProto, Overhead: c.OverheadFrac(),
 			NoHandshake: true, // response rides the established stream
 		})
@@ -351,14 +354,6 @@ func (c *Client) ImportState(st anonnet.State) {
 func (c *Client) Stop() {
 	c.ready = false
 	c.circuit = nil
-}
-
-func reverse(s []string) []string {
-	out := make([]string, len(s))
-	for i, v := range s {
-		out[len(s)-1-i] = v
-	}
-	return out
 }
 
 var _ anonnet.Anonymizer = (*Client)(nil)

@@ -62,7 +62,7 @@ func (a *AutoscaleConfig) fillDefaults(initial int) {
 // PreemptConfig arms cluster-queue preemption: when the head of the
 // cluster-wide queue has outranked running nyms for Dwell, the
 // cheapest host sacrifices strictly-lower-priority members (via
-// fleet.PreemptFor — ephemeral terminated, persistent vaulted and
+// fleet.PreemptOne — ephemeral terminated, persistent vaulted and
 // evicted) so the head can place. It complements the autoscaler:
 // preemption admits a System launch in seconds while a new host is
 // still ProvisionDelay away.
@@ -130,48 +130,42 @@ func (c *Cluster) autoscale() {
 // checkGrow arms one provisioning decision GrowDwell past the moment
 // the cluster-wide queue appeared. The pressure clock (queueSince,
 // maintained by onChange) resets whenever the queue empties, so only
-// a queue that *persists* buys a host.
+// a queue that *persists* buys a host. The pass ends in onChange,
+// which dispatches the queue onto the new host and maybe grows again.
 func (c *Cluster) checkGrow() {
 	a := c.cfg.Autoscale
-	if len(c.pending) == 0 || c.growArmed || c.growing || c.ActiveHosts() >= a.MaxHosts {
+	if len(c.pending) == 0 || c.ActiveHosts() >= a.MaxHosts {
 		return
 	}
-	c.growArmed = true
-	wait := c.queueSince + a.GrowDwell - c.eng.Now()
-	c.eng.Schedule(wait, func() {
-		c.growArmed = false
-		if c.growing || len(c.pending) == 0 || c.queueSince < 0 || c.ActiveHosts() >= a.MaxHosts {
-			c.notify() // AwaitSettled watches growArmed; wake it
-			return
+	c.grower.Arm(c.queueSince+a.GrowDwell-c.eng.Now(), func() func(*sim.Proc) {
+		if len(c.pending) == 0 || c.queueSince < 0 || c.ActiveHosts() >= a.MaxHosts {
+			c.notify() // AwaitSettled watches the daemon; wake it
+			return nil
 		}
 		if c.eng.Now()-c.queueSince < a.GrowDwell {
 			c.autoscale() // pressure blipped off and back on; re-dwell
-			return
+			return nil
 		}
-		c.growing = true
-		c.eng.Go("cluster/grow", func(p *sim.Proc) {
+		return func(p *sim.Proc) {
 			p.Sleep(a.ProvisionDelay)
-			h, err := c.addHost()
-			c.growing = false
-			if err == nil {
+			if h, err := c.addHost(); err == nil {
 				c.growEvents++
 				c.logScale("grow", h.name)
 			}
-			c.onChange() // dispatch the queue onto the new host; maybe grow again
-		})
+		}
 	})
 }
 
 // checkShrink arms one retire decision ShrinkDwell past the moment the
 // pool went cold (reserved share under the watermark with an empty
 // queue). The idle clock resets whenever load returns, so a lull
-// between bursts does not cost a host.
+// between bursts does not cost a host. The drain pass ends in
+// onChange: still cold, the next pass retires another host.
 func (c *Cluster) checkShrink() {
 	a := c.cfg.Autoscale
 	cold := len(c.pending) == 0 && c.ActiveHosts() > a.MinHosts &&
 		c.clusterShare() < a.ShrinkShare &&
-		!c.draining && !c.growing && !c.growArmed &&
-		!c.rebalancing && !c.rebalScheduled
+		!c.shrinker.Running() && !c.grower.Busy() && !c.rebalancer.Busy()
 	if !cold {
 		c.coldSince = -1
 		return
@@ -179,37 +173,29 @@ func (c *Cluster) checkShrink() {
 	if c.coldSince < 0 {
 		c.coldSince = c.eng.Now()
 	}
-	if c.shrinkArmed {
-		return
-	}
-	c.shrinkArmed = true
-	wait := c.coldSince + a.ShrinkDwell - c.eng.Now()
-	c.eng.Schedule(wait, func() {
-		c.shrinkArmed = false
-		if c.coldSince < 0 || c.draining || c.growing ||
+	c.shrinker.Arm(c.coldSince+a.ShrinkDwell-c.eng.Now(), func() func(*sim.Proc) {
+		// A manual RetireHost may have started a drain meanwhile.
+		if c.coldSince < 0 || c.shrinker.Running() || c.grower.Running() ||
 			len(c.pending) > 0 || c.ActiveHosts() <= a.MinHosts {
-			c.notify() // AwaitSettled watches shrinkArmed; wake it
-			return
+			c.notify() // AwaitSettled watches the daemon; wake it
+			return nil
 		}
 		if c.eng.Now()-c.coldSince < a.ShrinkDwell {
 			c.autoscale() // idleness blipped; re-dwell
-			return
+			return nil
 		}
 		victim := c.shrinkVictim()
 		if victim == nil {
 			c.coldSince = -1
 			c.notify()
-			return
+			return nil
 		}
-		c.draining = true
-		c.eng.Go("cluster/drain-"+victim.name, func(p *sim.Proc) {
+		return func(p *sim.Proc) {
 			if c.retireHost(p, victim) {
 				c.shrinkEvents++
 			}
-			c.draining = false
 			c.coldSince = -1
-			c.onChange() // still cold? the next pass retires another host
-		})
+		}
 	})
 }
 
@@ -278,13 +264,11 @@ func (c *Cluster) RetireHost(p *sim.Proc, name string) error {
 	if c.ActiveHosts() <= 1 && h.state == HostActive {
 		return nymerr.Newf(CodeLastActiveHost, "cluster: refusing to retire the last active host %q", name)
 	}
-	if c.draining {
+	if c.shrinker.Running() {
 		return nymerr.New(CodeDrainConflict, "cluster: another drain is already in flight")
 	}
-	c.draining = true
-	ok := c.retireHost(p, h)
-	c.draining = false
-	c.onChange()
+	var ok bool
+	c.shrinker.Do(func() { ok = c.retireHost(p, h) })
 	if !ok {
 		return nymerr.Newf(CodeDrainStuck, "cluster: drain of %q aborted: the pool cannot absorb its nyms", name)
 	}
@@ -426,27 +410,19 @@ func (c *Cluster) preemptHostFor(pl pendingLaunch) *Host {
 // preemption relieves it *now* by sacrificing lower classes — both may
 // be armed, and whichever fires first helps.
 func (c *Cluster) schedulePreempt() {
-	if c.preemptArmed || c.preempting || !c.needsPreempt() {
+	if c.preemptor.Busy() || !c.needsPreempt() {
 		return
 	}
-	c.preemptArmed = true
-	wait := c.queueSince + c.cfg.Preempt.Dwell - c.eng.Now()
-	c.eng.Schedule(wait, func() {
-		c.preemptArmed = false
-		if c.preempting || !c.needsPreempt() || c.queueSince < 0 {
-			c.notify() // AwaitSettled watches preemptArmed; wake it
-			return
+	c.preemptor.Arm(c.queueSince+c.cfg.Preempt.Dwell-c.eng.Now(), func() func(*sim.Proc) {
+		if !c.needsPreempt() || c.queueSince < 0 {
+			c.notify() // AwaitSettled watches the daemon; wake it
+			return nil
 		}
 		if c.eng.Now()-c.queueSince < c.cfg.Preempt.Dwell {
 			c.schedulePreempt() // pressure blipped; re-dwell
-			return
+			return nil
 		}
-		c.preempting = true
-		c.eng.Go("cluster/preempt", func(p *sim.Proc) {
-			c.preemptPass(p)
-			c.preempting = false
-			c.onChange()
-		})
+		return c.preemptPass
 	})
 }
 

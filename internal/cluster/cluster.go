@@ -199,10 +199,9 @@ type Cluster struct {
 
 	watchers *sim.Broadcast
 
-	migrations     int
-	migrationWire  int64
-	rebalScheduled bool
-	rebalancing    bool
+	migrations    int
+	migrationWire int64
+	rebalancer    *sim.Daemon
 
 	// Cost-aware rebalance batching: moves the planner approved but
 	// deferred into idle sweep slots (pendingMoves, FIFO), the
@@ -217,21 +216,18 @@ type Cluster struct {
 	gcCursor map[string]int
 
 	// Autoscaler state: the pressure/idle clocks (-1 while clear),
-	// armed dwell timers, in-flight grow/drain work, and the scale
-	// event log the elastic experiment renders.
+	// the grow and shrink (drain) daemons, and the scale event log the
+	// elastic experiment renders.
 	queueSince   sim.Time
 	coldSince    sim.Time
-	growArmed    bool
-	growing      bool
-	shrinkArmed  bool
-	draining     bool
+	grower       *sim.Daemon
+	shrinker     *sim.Daemon
 	growEvents   int
 	shrinkEvents int
 	scaleLog     []ScaleEvent
 
-	// Cluster-queue preemption state, same idiom.
-	preemptArmed bool
-	preempting   bool
+	// Cluster-queue preemption daemon.
+	preemptor *sim.Daemon
 
 	// Sweep coordinator state (sweep.go): installed config (nil while
 	// stopped), the round timer, completed round count, provider
@@ -268,6 +264,12 @@ func New(eng *sim.Engine, world *webworld.World, cfg Config) (*Cluster, error) {
 		queueSince: -1,
 		coldSince:  -1,
 	}
+	// Every daemon's pass ends in the scheduling pulse: re-arm if the
+	// condition still holds, and wake waiters.
+	c.rebalancer = sim.NewDaemon(eng, "cluster/rebalance", c.onChange)
+	c.grower = sim.NewDaemon(eng, "cluster/grow", c.onChange)
+	c.shrinker = sim.NewDaemon(eng, "cluster/drain", c.onChange)
+	c.preemptor = sim.NewDaemon(eng, "cluster/preempt", c.onChange)
 	c.providers = core.DefaultProviders(world)
 	for i := 0; i < cfg.Hosts; i++ {
 		if _, err := c.addHost(); err != nil {
@@ -316,17 +318,16 @@ func (c *Cluster) addHost() (*Host, error) {
 	return h, nil
 }
 
-// watchHost runs a daemon that reacts to every state change on one
-// host: dispatch queued launches, arm the rebalancer, wake cluster
-// waiters. The daemon parks (adding nothing to the event queue) when
-// the host is quiet, so an idle cluster drains the engine.
+// watchHost runs the cluster's scheduling pulse on every state change
+// on one host: dispatch queued launches, arm the daemons, wake cluster
+// waiters. The watch is a callback, not a parked proc, so it adds
+// nothing to the event queue and holds no goroutine: an idle cluster
+// drains the engine and a drained one can be collected. It is
+// installed on a zero-delay event, the slot a watcher proc's first run
+// would take, so event order is that of a proc re-awaiting
+// ChangeFuture.
 func (c *Cluster) watchHost(h *Host) {
-	c.eng.Go("cluster/watch-"+h.name, func(p *sim.Proc) {
-		for {
-			sim.Await(p, h.orch.ChangeFuture())
-			c.onChange()
-		}
-	})
+	c.eng.Schedule(0, func() { h.orch.Watch(c.onChange) })
 }
 
 // onChange is the cluster's scheduling pulse.
@@ -614,9 +615,7 @@ func (c *Cluster) AwaitRunning(p *sim.Proc, target int) error {
 // work the daemons had already scheduled.
 func (c *Cluster) AwaitSettled(p *sim.Proc) {
 	for c.anyPending() || c.countState(fleet.StateStopping) > 0 ||
-		c.rebalancing || c.rebalScheduled ||
-		c.growing || c.growArmed || c.draining || c.shrinkArmed ||
-		c.preempting || c.preemptArmed {
+		c.rebalancer.Busy() || c.grower.Busy() || c.shrinker.Busy() || c.preemptor.Busy() {
 		c.parkOnChange(p)
 	}
 }
@@ -646,7 +645,7 @@ func (c *Cluster) anyPending() bool {
 		// while elastic machinery can act: a grow (armed or
 		// provisioning) will add capacity, a preemption pass will free
 		// some, and a drain in flight re-places what it migrates.
-		if c.growing || c.growArmed || c.preempting || c.preemptArmed || c.draining {
+		if c.grower.Busy() || c.preemptor.Busy() || c.shrinker.Running() {
 			return true
 		}
 	}

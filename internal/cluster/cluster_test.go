@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -433,5 +434,32 @@ func TestClusterDeterministic(t *testing.T) {
 	d2, q2, r2 := sample()
 	if d1 != d2 || q1 != q2 || r1 != r2 {
 		t.Fatalf("cluster not reproducible: %v/%d/%d vs %v/%d/%d", d1, q1, r1, d2, q2, r2)
+	}
+}
+
+// TestDrainedClusterLeavesNoGoroutines: once every nym has stopped and
+// the engine has drained, no proc may stay parked on the world — a
+// parked goroutine keeps the whole drained world reachable, so it is
+// never freed.
+func TestDrainedClusterLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	eng, c := newCluster(t, 5, 2, 16<<30, Config{})
+	run(t, eng, func(p *sim.Proc) {
+		if err := c.LaunchAll(specs(4, core.ModelEphemeral)); err != nil {
+			t.Errorf("launch: %v", err)
+		}
+		if err := c.AwaitRunning(p, 4); err != nil {
+			t.Errorf("await: %v", err)
+		}
+		if err := c.StopAll(p); err != nil {
+			t.Errorf("stop: %v", err)
+		}
+	})
+	// Finished procs' goroutines exit just after their last handoff.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines left after the engine drained, want at most %d", n, base)
 	}
 }

@@ -52,10 +52,13 @@
 //     ClusterSweepReport surface wire bytes, dirty-skip ratio, and
 //     sweep latency percentiles pool-wide.
 //
-// Every daemon is armed state-driven, the same idiom as the fleet's
-// KSM pacing: timers exist only while a pass could help, so a
-// balanced, idle, or floor-sized cluster leaves the event queue empty
-// and the engine drainable. The sweep coordinator is the deliberate
-// exception — periodic checkpointing is open-ended work, so its
-// lifetime belongs to the caller via StartSweeps/StopSweeps.
+// The rebalancer, the grow and shrink paths and the preemptor each
+// run on a sim.Daemon, so a balanced, idle, or floor-sized cluster
+// leaves the event queue empty and the engine drainable. The sweep
+// coordinator is the deliberate exception — periodic checkpointing is
+// open-ended work, so its lifetime belongs to the caller via
+// StartSweeps/StopSweeps. Each host's state changes reach the cluster
+// through a callback watch on its orchestrator
+// (fleet.Orchestrator.Watch), not a parked proc, so a drained cluster
+// holds no goroutine and its world can be collected.
 package cluster

@@ -135,27 +135,19 @@ func (c *Cluster) rebalanceNeeded() bool {
 	return m != nil
 }
 
-// maybeScheduleRebalance arms one pass Interval out, the same
-// state-driven idiom as the fleet's KSM daemon: the timer exists only
-// while a pass could help, so a balanced (or idle) cluster leaves the
-// event queue empty and the engine drainable.
+// maybeScheduleRebalance arms the rebalance daemon (sim.Daemon) one
+// pass Interval out, only while a pass could help, so a balanced (or
+// idle) cluster leaves the event queue empty and the engine drainable.
 func (c *Cluster) maybeScheduleRebalance() {
-	if c.rebalScheduled || c.rebalancing || !c.rebalanceNeeded() {
+	if c.rebalancer.Busy() || !c.rebalanceNeeded() {
 		return
 	}
-	c.rebalScheduled = true
-	c.eng.Schedule(c.cfg.Rebalance.Interval, func() {
-		c.rebalScheduled = false
-		if c.rebalancing || !c.rebalanceNeeded() {
-			c.notify() // AwaitSettled watches rebalScheduled; wake it
-			return
+	c.rebalancer.Arm(c.cfg.Rebalance.Interval, func() func(*sim.Proc) {
+		if !c.rebalanceNeeded() {
+			c.notify() // AwaitSettled watches the daemon; wake it
+			return nil
 		}
-		c.rebalancing = true
-		c.eng.Go("cluster/rebalance", func(p *sim.Proc) {
-			c.rebalancePass(p)
-			c.rebalancing = false
-			c.onChange() // re-arm if still hot, wake waiters
-		})
+		return c.rebalancePass
 	})
 }
 

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"nymix/internal/cluster"
@@ -360,10 +362,6 @@ func sortedCodeCountList(m map[string]int) []codeCount {
 	for c, n := range m {
 		out = append(out, codeCount{c, n})
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].code < out[j-1].code; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortFunc(out, func(a, b codeCount) int { return strings.Compare(a.code, b.code) })
 	return out
 }

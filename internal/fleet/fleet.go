@@ -346,10 +346,9 @@ type Orchestrator struct {
 
 	// Preemption daemon state: the pressure clock (simulated time at
 	// which the current pressure episode began, -1 while clear), the
-	// armed dwell timer, the in-flight pass, and completed counts.
+	// daemon sequencing dwell and pass, and completed counts.
 	pressureSince sim.Time
-	preemptArmed  bool
-	preempting    bool
+	preempt       *sim.Daemon
 	preempted     PreemptStats
 
 	// Sweep scheduler state (sweep.go): the installed config (nil
@@ -394,7 +393,7 @@ func New(mgr *core.Manager, cfg Config) *Orchestrator {
 		wireBudget = int64(cfg.WireBudget)
 	}
 	eng := mgr.Engine()
-	return &Orchestrator{
+	o := &Orchestrator{
 		mgr:           mgr,
 		eng:           eng,
 		cfg:           cfg,
@@ -405,6 +404,12 @@ func New(mgr *core.Manager, cfg Config) *Orchestrator {
 		watchers:      sim.NewBroadcast(eng),
 		pressureSince: -1,
 	}
+	o.preempt = sim.NewDaemon(eng, "fleet/preempt", func() {
+		o.pressureSince = -1
+		o.notify()
+		o.schedulePreempt() // more queued classes may still need room
+	})
+	return o
 }
 
 // Manager returns the underlying Nym Manager.
@@ -779,7 +784,7 @@ func (o *Orchestrator) QueueStalled() bool { return o.queueStalled() }
 // own. An armed or in-flight preemption pass counts as progress: the
 // head's deficit is about to be freed by force.
 func (o *Orchestrator) queueStalled() bool {
-	if o.preemptArmed || o.preempting || o.needsPreempt() {
+	if o.preempt.Busy() || o.needsPreempt() {
 		return false
 	}
 	queued := 0
@@ -853,6 +858,11 @@ func (o *Orchestrator) parkOnChange(p *sim.Proc) {
 func (o *Orchestrator) ChangeFuture() *sim.Future[struct{}] {
 	return o.watchers.Future()
 }
+
+// Watch calls fn on every member state change (or detach), the way a
+// proc re-awaiting ChangeFuture would wake, without holding a
+// goroutine (sim.Broadcast.Watch).
+func (o *Orchestrator) Watch(fn func()) { o.watchers.Watch(fn) }
 
 // notify wakes everyone waiting on fleet progress.
 func (o *Orchestrator) notify() {

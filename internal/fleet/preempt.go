@@ -142,25 +142,35 @@ func (o *Orchestrator) PreemptOne(p *sim.Proc, pri Priority) int64 {
 // victim's reservation admits the head synchronously, so the next
 // round serves the next queued class (or stops).
 func (o *Orchestrator) preemptPass(p *sim.Proc) {
-	for {
-		need, pri, ok := o.ram.head()
-		if !ok {
-			return
-		}
-		deficit := need - o.HeadroomBytes()
-		if deficit <= 0 {
-			return
-		}
-		vs := o.victims(Priority(pri))
-		var coverable int64
-		for _, m := range vs {
-			coverable += m.footprint
-		}
-		if coverable < deficit {
-			return
-		}
+	o.opStarted()
+	defer o.opDone()
+	for vs := o.headVictims(); vs != nil; vs = o.headVictims() {
 		o.preemptMember(p, vs[0])
 	}
+}
+
+// headVictims returns the members the admission queue's head may
+// sacrifice, cheapest first, when together they cover its deficit;
+// nil when the queue is empty, the head admits on its own, or no
+// sacrifice would be enough.
+func (o *Orchestrator) headVictims() []*Member {
+	need, pri, ok := o.ram.head()
+	if !ok {
+		return nil
+	}
+	deficit := need - o.HeadroomBytes()
+	if deficit <= 0 {
+		return nil // the head admits on its own; no one has to die
+	}
+	vs := o.victims(Priority(pri))
+	var coverable int64
+	for _, m := range vs {
+		coverable += m.footprint
+	}
+	if coverable < deficit {
+		return nil
+	}
+	return vs
 }
 
 // preemptMember sacrifices one Running member: durable nyms
@@ -219,27 +229,11 @@ func (o *Orchestrator) preemptMember(p *sim.Proc, m *Member) error {
 // admission queue's head outranks some running member whose sacrifice
 // (with others below the head's class) would cover the head's deficit.
 func (o *Orchestrator) needsPreempt() bool {
-	if !o.cfg.Preempt.Enabled {
-		return false
-	}
-	need, pri, ok := o.ram.head()
-	if !ok {
-		return false
-	}
-	deficit := need - o.HeadroomBytes()
-	if deficit <= 0 {
-		return false // the head admits on its own; no one has to die
-	}
-	var preemptible int64
-	for _, m := range o.victims(Priority(pri)) {
-		preemptible += m.footprint
-	}
-	return preemptible >= deficit
+	return o.cfg.Preempt.Enabled && o.headVictims() != nil
 }
 
-// schedulePreempt arms one preemption check Dwell out, the same
-// state-driven idiom as the KSM daemon and the cluster rebalancer: a
-// timer exists only while a pass could help, so a fleet without
+// schedulePreempt arms the preemption daemon (sim.Daemon) Dwell past
+// the start of the current pressure episode, so a fleet without
 // pressure (or without victims) leaves the event queue empty. The
 // pressure clock (pressureSince) is reset whenever the condition
 // clears, so only *sustained* pressure kills.
@@ -251,31 +245,16 @@ func (o *Orchestrator) schedulePreempt() {
 	if o.pressureSince < 0 {
 		o.pressureSince = o.eng.Now()
 	}
-	if o.preemptArmed || o.preempting {
-		return
-	}
-	o.preemptArmed = true
-	wait := o.pressureSince + o.cfg.Preempt.Dwell - o.eng.Now()
-	o.eng.Schedule(wait, func() {
-		o.preemptArmed = false
-		if o.preempting || !o.needsPreempt() {
+	o.preempt.Arm(o.pressureSince+o.cfg.Preempt.Dwell-o.eng.Now(), func() func(*sim.Proc) {
+		if !o.needsPreempt() {
 			o.pressureSince = -1
-			o.notify() // waiters watch preemptArmed via queueStalled
-			return
+			o.notify() // waiters watch the daemon via queueStalled
+			return nil
 		}
 		if o.eng.Now()-o.pressureSince < o.cfg.Preempt.Dwell {
 			o.schedulePreempt() // pressure blipped off and back on; re-dwell
-			return
+			return nil
 		}
-		o.preempting = true
-		o.eng.Go("fleet/preempt", func(p *sim.Proc) {
-			o.opStarted()
-			o.preemptPass(p)
-			o.opDone()
-			o.preempting = false
-			o.pressureSince = -1
-			o.notify()
-			o.schedulePreempt() // more queued classes may still need room
-		})
+		return o.preemptPass
 	})
 }

@@ -321,7 +321,7 @@ func (o *Orchestrator) AwaitSweepsIdle(p *sim.Proc) {
 // (checkpointing a victim it is about to evict would race the
 // eviction's own save).
 func (o *Orchestrator) underSavePressure() bool {
-	return o.ram.queued() > 0 || o.wire.queued() > 0 || o.preemptArmed || o.preempting
+	return o.ram.queued() > 0 || o.wire.queued() > 0 || o.preempt.Busy()
 }
 
 // sweepTick is one scheduler firing.

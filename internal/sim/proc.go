@@ -184,6 +184,17 @@ func (b *Broadcast) Future() *Future[struct{}] {
 // Park suspends the process until the next Notify.
 func (b *Broadcast) Park(p *Proc) { Await(p, b.Future()) }
 
+// Watch calls fn synchronously at every Notify, at the point where a
+// proc parked on Future would wake, and re-subscribes once fn returns,
+// so a Notify nested inside fn does not re-fire it. Unlike a watcher
+// proc, a watch holds no goroutine: a drained world is collectable.
+func (b *Broadcast) Watch(fn func()) {
+	b.Future().onDone(func() {
+		fn()
+		b.Watch(fn)
+	})
+}
+
 // Notify wakes every outstanding waiter.
 func (b *Broadcast) Notify() {
 	subs := b.subs
