@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -61,18 +62,17 @@ func adapt[T any](run func(uint64) (T, error), render func(T) string) runner {
 	}
 }
 
-func main() {
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	nyms := flag.Int("nyms", 0, "shards/economy: fleet size (0 = 1024); elastic: burst size (0 = 96); sweeps: fleet size (0 = 32)")
-	hosts := flag.Int("hosts", 0, "shards/economy: pool size (0 = 4); elastic: initial pool (0 = 2)")
-	rounds := flag.Int("rounds", 0, "sweeps: steady-state rounds (0 = 8); economy: churn rounds (0 = 16)")
-	emitJSON := flag.Bool("json", false, "write BENCH_<run>.json next to the text output")
+// experiment is one -run target.
+type experiment struct {
+	name string
+	run  runner
+}
 
-	// The experiments in -run all order.
-	runners := []struct {
-		name string
-		run  runner
-	}{
+// experimentsFor returns the experiments in -run all order, with the
+// sized ones built for the -nyms/-hosts/-rounds values (0 = the
+// experiment's default).
+func experimentsFor(nyms, hosts, rounds int) []experiment {
+	return []experiment{
 		{"fig3", adapt(experiments.Figure3, experiments.RenderFigure3)},
 		{"fig4", adapt(experiments.Figure4, experiments.RenderFigure4)},
 		{"fig5", adapt(experiments.Figure5, experiments.RenderFigure5)},
@@ -86,16 +86,16 @@ func main() {
 			return experiments.FleetRampUp(s)
 		}, experiments.RenderFleetRampUp)},
 		{"shards", adapt(func(s uint64) ([]experiments.ShardScale, error) {
-			return experiments.FleetShards(s, *nyms, *hosts)
+			return experiments.FleetShards(s, nyms, hosts)
 		}, experiments.RenderFleetShards)},
 		{"elastic", adapt(func(s uint64) (*experiments.ElasticResult, error) {
-			return experiments.Elastic(s, *nyms, *hosts)
+			return experiments.Elastic(s, nyms, hosts)
 		}, experiments.RenderElastic)},
 		{"sweeps", adapt(func(s uint64) (experiments.SweepSteady, error) {
-			return experiments.SweepSteadyState(s, *nyms, *rounds)
+			return experiments.SweepSteadyState(s, nyms, rounds)
 		}, experiments.RenderSweepSteadyState)},
 		{"economy", adapt(func(s uint64) (*experiments.EconomyResult, error) {
-			res, err := experiments.Economy(s, *nyms, *hosts, *rounds)
+			res, err := experiments.Economy(s, nyms, hosts, rounds)
 			if err != nil {
 				return nil, err
 			}
@@ -109,22 +109,26 @@ func main() {
 		{"mixnet", adapt(experiments.MixnetFrontier, experiments.RenderMixnetFrontier)},
 		{"summary", summary},
 	}
+}
+
+func main() {
+	seed := flag.Uint64("seed", 1, "simulation seed")
+	nyms := flag.Int("nyms", 0, "shards/economy: fleet size (0 = 1024); elastic: burst size (0 = 96); sweeps: fleet size (0 = 32)")
+	hosts := flag.Int("hosts", 0, "shards/economy: pool size (0 = 4); elastic: initial pool (0 = 2)")
+	rounds := flag.Int("rounds", 0, "sweeps: steady-state rounds (0 = 8); economy: churn rounds (0 = 16)")
+	emitJSON := flag.Bool("json", false, "write BENCH_<run>.json next to the text output")
+
 	names := []string{"all"}
-	for _, r := range runners {
-		names = append(names, r.name)
+	for _, e := range experimentsFor(0, 0, 0) {
+		names = append(names, e.name)
 	}
 	run := flag.String("run", "all", "experiment to run: "+strings.Join(names, ", "))
 	flag.Parse()
 
-	selected := runners
+	selected := experimentsFor(*nyms, *hosts, *rounds)
 	if *run != "all" {
-		selected = nil
-		for _, r := range runners {
-			if r.name == *run {
-				selected = append(selected, r)
-			}
-		}
-		if selected == nil {
+		selected = slices.DeleteFunc(selected, func(e experiment) bool { return e.name != *run })
+		if len(selected) == 0 {
 			fmt.Fprintf(os.Stderr, "nymbench: unknown experiment %q\n", *run)
 			os.Exit(2)
 		}

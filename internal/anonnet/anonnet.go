@@ -44,10 +44,6 @@ type FetchResult struct {
 // identifies as critical against long-term intersection attacks.
 type State map[string]string
 
-// Anonymizer is the historical name for Transport, kept as an alias
-// for existing callers.
-type Anonymizer = Transport
-
 // Transport is a communication tool pluggable into a CommVM.
 type Transport interface {
 	// Name identifies the tool ("tor", "dissent", "incognito").
@@ -83,11 +79,11 @@ type Transport interface {
 // the first and exits from the last, so the observed exit identity and
 // overheads compose. Start and Stop apply to every stage.
 type Chain struct {
-	stages []Anonymizer
+	stages []Transport
 }
 
 // NewChain composes stages in order (first = closest to the user).
-func NewChain(stages ...Anonymizer) *Chain { return &Chain{stages: stages} }
+func NewChain(stages ...Transport) *Chain { return &Chain{stages: stages} }
 
 // Name returns the composed name, e.g. "tor+dissent".
 func (c *Chain) Name() string {
@@ -185,7 +181,7 @@ func (c *Chain) ImportState(st State) {
 	}
 }
 
-func (c *Chain) stageKey(i int, s Anonymizer) string {
+func (c *Chain) stageKey(i int, s Transport) string {
 	return s.Name() + "#" + string(rune('0'+i)) + "/"
 }
 
@@ -196,4 +192,4 @@ func (c *Chain) Stop() {
 	}
 }
 
-var _ Anonymizer = (*Chain)(nil)
+var _ Transport = (*Chain)(nil)

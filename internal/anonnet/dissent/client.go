@@ -42,7 +42,7 @@ const (
 )
 
 // Client is a Dissent client inside a CommVM, implementing
-// anonnet.Anonymizer over the anytrust server set.
+// anonnet.Transport over the anytrust server set.
 type Client struct {
 	net      *vnet.Network
 	commNode string
@@ -71,16 +71,16 @@ func New(net *vnet.Network, commNode string, servers []string, members int, reso
 	}
 }
 
-// Name implements anonnet.Anonymizer.
+// Name implements anonnet.Transport.
 func (c *Client) Name() string { return "dissent" }
 
-// Proto implements anonnet.Anonymizer.
+// Proto implements anonnet.Transport.
 func (c *Client) Proto() string { return "dissent" }
 
-// OverheadFrac implements anonnet.Anonymizer.
+// OverheadFrac implements anonnet.Transport.
 func (c *Client) OverheadFrac() float64 { return WireOverhead }
 
-// Ready implements anonnet.Anonymizer.
+// Ready implements anonnet.Transport.
 func (c *Client) Ready() bool { return c.ready }
 
 // Members returns the configured anonymity set size.
@@ -89,7 +89,7 @@ func (c *Client) Members() int { return c.members }
 // Rounds returns the number of DC-net rounds run.
 func (c *Client) Rounds() uint64 { return c.rounds }
 
-// Start implements anonnet.Anonymizer: pairwise key establishment
+// Start implements anonnet.Transport: pairwise key establishment
 // with every anytrust server plus a scheduling round.
 func (c *Client) Start(p *sim.Proc) error {
 	if len(c.servers) == 0 {
@@ -140,7 +140,7 @@ func (c *Client) runRound(p *sim.Proc, upBytes, downBytes int64) error {
 	return nil
 }
 
-// Fetch implements anonnet.Anonymizer: the request is split across
+// Fetch implements anonnet.Transport: the request is split across
 // bulk rounds; the response is proxied back by the serving server
 // inside subsequent round outputs.
 func (c *Client) Fetch(p *sim.Proc, req anonnet.Request) (anonnet.FetchResult, error) {
@@ -200,7 +200,7 @@ func (c *Client) Fetch(p *sim.Proc, req anonnet.Request) (anonnet.FetchResult, e
 	}, nil
 }
 
-// Resolve implements anonnet.Anonymizer: Dissent supports UDP
+// Resolve implements anonnet.Transport: Dissent supports UDP
 // proxying, so DNS queries travel inside rounds.
 func (c *Client) Resolve(p *sim.Proc, host string) (string, error) {
 	if !c.ready {
@@ -216,7 +216,7 @@ func (c *Client) Resolve(p *sim.Proc, host string) (string, error) {
 	return node, nil
 }
 
-// ExitIdentity implements anonnet.Anonymizer: servers front all
+// ExitIdentity implements anonnet.Transport: servers front all
 // client traffic, so sites observe the serving server.
 func (c *Client) ExitIdentity() string {
 	if len(c.servers) == 0 {
@@ -225,7 +225,7 @@ func (c *Client) ExitIdentity() string {
 	return c.servers[0]
 }
 
-// ExportState implements anonnet.Anonymizer.
+// ExportState implements anonnet.Transport.
 func (c *Client) ExportState() anonnet.State {
 	st := anonnet.State{"members": strconv.Itoa(c.members)}
 	if c.keysUp {
@@ -234,7 +234,7 @@ func (c *Client) ExportState() anonnet.State {
 	return st
 }
 
-// ImportState implements anonnet.Anonymizer.
+// ImportState implements anonnet.Transport.
 func (c *Client) ImportState(st anonnet.State) {
 	if st["keys"] == "established" {
 		c.keysUp = true
@@ -244,7 +244,7 @@ func (c *Client) ImportState(st anonnet.State) {
 	}
 }
 
-// Stop implements anonnet.Anonymizer.
+// Stop implements anonnet.Transport.
 func (c *Client) Stop() { c.ready = false }
 
-var _ anonnet.Anonymizer = (*Client)(nil)
+var _ anonnet.Transport = (*Client)(nil)

@@ -54,26 +54,26 @@ func New(net *vnet.Network, commNode, hostNode, dnsNode string, resolver func(st
 	}
 }
 
-// Name implements anonnet.Anonymizer.
+// Name implements anonnet.Transport.
 func (r *Relay) Name() string { return "incognito" }
 
-// Proto implements anonnet.Anonymizer.
+// Proto implements anonnet.Transport.
 func (r *Relay) Proto() string { return "incognito" }
 
-// OverheadFrac implements anonnet.Anonymizer.
+// OverheadFrac implements anonnet.Transport.
 func (r *Relay) OverheadFrac() float64 { return WireOverhead }
 
-// Ready implements anonnet.Anonymizer.
+// Ready implements anonnet.Transport.
 func (r *Relay) Ready() bool { return r.ready }
 
-// Start implements anonnet.Anonymizer: just the iptables setup.
+// Start implements anonnet.Transport: just the iptables setup.
 func (r *Relay) Start(p *sim.Proc) error {
 	p.Sleep(sim.Time(p.Rand().Jitter(float64(setupTime), 0.2)))
 	r.ready = true
 	return nil
 }
 
-// Fetch implements anonnet.Anonymizer: a direct NAT'd exchange.
+// Fetch implements anonnet.Transport: a direct NAT'd exchange.
 func (r *Relay) Fetch(p *sim.Proc, req anonnet.Request) (anonnet.FetchResult, error) {
 	if !r.ready {
 		return anonnet.FetchResult{}, anonnet.ErrNotReady
@@ -102,7 +102,7 @@ func (r *Relay) Fetch(p *sim.Proc, req anonnet.Request) (anonnet.FetchResult, er
 	return anonnet.FetchResult{Sent: req.SendBytes, Received: req.RecvBytes, Elapsed: p.Now() - start}, nil
 }
 
-// Resolve implements anonnet.Anonymizer — by asking the ISP resolver
+// Resolve implements anonnet.Transport — by asking the ISP resolver
 // directly over UDP. The query is visible to (and recorded by) the
 // resolver: the tracking exposure that separates incognito mode from
 // Tor.
@@ -125,17 +125,17 @@ func (r *Relay) Resolve(p *sim.Proc, host string) (string, error) {
 	return node, nil
 }
 
-// ExitIdentity implements anonnet.Anonymizer: the NAT'd host address —
+// ExitIdentity implements anonnet.Transport: the NAT'd host address —
 // i.e., the user's own public IP. No anonymity.
 func (r *Relay) ExitIdentity() string { return r.hostNode }
 
-// ExportState implements anonnet.Anonymizer (nothing worth keeping).
+// ExportState implements anonnet.Transport (nothing worth keeping).
 func (r *Relay) ExportState() anonnet.State { return anonnet.State{} }
 
-// ImportState implements anonnet.Anonymizer.
+// ImportState implements anonnet.Transport.
 func (r *Relay) ImportState(anonnet.State) {}
 
-// Stop implements anonnet.Anonymizer.
+// Stop implements anonnet.Transport.
 func (r *Relay) Stop() { r.ready = false }
 
-var _ anonnet.Anonymizer = (*Relay)(nil)
+var _ anonnet.Transport = (*Relay)(nil)

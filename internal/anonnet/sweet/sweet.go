@@ -60,22 +60,22 @@ func New(net *vnet.Network, commNode, mailGW, proxy string, resolver func(string
 	return &Client{net: net, commNode: commNode, mailGW: mailGW, proxy: proxy, resolver: resolver}
 }
 
-// Name implements anonnet.Anonymizer.
+// Name implements anonnet.Transport.
 func (c *Client) Name() string { return "sweet" }
 
-// Proto implements anonnet.Anonymizer: the censor sees SMTP.
+// Proto implements anonnet.Transport: the censor sees SMTP.
 func (c *Client) Proto() string { return "smtp" }
 
-// OverheadFrac implements anonnet.Anonymizer.
+// OverheadFrac implements anonnet.Transport.
 func (c *Client) OverheadFrac() float64 { return WireOverhead }
 
-// Ready implements anonnet.Anonymizer.
+// Ready implements anonnet.Transport.
 func (c *Client) Ready() bool { return c.ready }
 
 // EmailsSent returns the lifetime count of tunnel emails.
 func (c *Client) EmailsSent() int { return c.sent }
 
-// Start implements anonnet.Anonymizer: register a throwaway mailbox
+// Start implements anonnet.Transport: register a throwaway mailbox
 // and exchange a hello with the proxy.
 func (c *Client) Start(p *sim.Proc) error {
 	p.Sleep(sim.Time(p.Rand().Jitter(float64(mailboxSetup), 0.2)))
@@ -109,7 +109,7 @@ func (c *Client) email(p *sim.Proc, outbound bool, payload int64) error {
 	return nil
 }
 
-// Fetch implements anonnet.Anonymizer: chunk the request out, let the
+// Fetch implements anonnet.Transport: chunk the request out, let the
 // proxy fetch the page, and chunk the response back.
 func (c *Client) Fetch(p *sim.Proc, req anonnet.Request) (anonnet.FetchResult, error) {
 	if !c.ready {
@@ -165,7 +165,7 @@ func (c *Client) Fetch(p *sim.Proc, req anonnet.Request) (anonnet.FetchResult, e
 	return anonnet.FetchResult{Sent: req.SendBytes, Received: req.RecvBytes, Elapsed: p.Now() - start}, nil
 }
 
-// Resolve implements anonnet.Anonymizer: one email round trip to the
+// Resolve implements anonnet.Transport: one email round trip to the
 // proxy's resolver.
 func (c *Client) Resolve(p *sim.Proc, host string) (string, error) {
 	if !c.ready {
@@ -184,11 +184,11 @@ func (c *Client) Resolve(p *sim.Proc, host string) (string, error) {
 	return node, nil
 }
 
-// ExitIdentity implements anonnet.Anonymizer: servers observe the
+// ExitIdentity implements anonnet.Transport: servers observe the
 // SWEET proxy.
 func (c *Client) ExitIdentity() string { return c.proxy }
 
-// ExportState implements anonnet.Anonymizer: the mailbox persists so
+// ExportState implements anonnet.Transport: the mailbox persists so
 // a restored nym keeps its tunnel endpoint.
 func (c *Client) ExportState() anonnet.State {
 	st := anonnet.State{"emails": strconv.Itoa(c.sent)}
@@ -198,14 +198,14 @@ func (c *Client) ExportState() anonnet.State {
 	return st
 }
 
-// ImportState implements anonnet.Anonymizer.
+// ImportState implements anonnet.Transport.
 func (c *Client) ImportState(st anonnet.State) {
 	if mb, ok := st["mailbox"]; ok {
 		c.mailbox = mb
 	}
 }
 
-// Stop implements anonnet.Anonymizer.
+// Stop implements anonnet.Transport.
 func (c *Client) Stop() { c.ready = false }
 
-var _ anonnet.Anonymizer = (*Client)(nil)
+var _ anonnet.Transport = (*Client)(nil)

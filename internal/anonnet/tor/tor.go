@@ -110,13 +110,13 @@ func (c *Client) SetBridgeTransport(proto string) {
 // encoding when a bridge transport is active.
 const BridgeOverhead = 0.35
 
-// Name implements anonnet.Anonymizer.
+// Name implements anonnet.Transport.
 func (c *Client) Name() string { return "tor" }
 
-// Proto implements anonnet.Anonymizer: the label a wire observer sees.
+// Proto implements anonnet.Transport: the label a wire observer sees.
 func (c *Client) Proto() string { return c.wireProto }
 
-// OverheadFrac implements anonnet.Anonymizer.
+// OverheadFrac implements anonnet.Transport.
 func (c *Client) OverheadFrac() float64 {
 	if c.wireProto != "tor" {
 		return CellOverhead + BridgeOverhead
@@ -124,7 +124,7 @@ func (c *Client) OverheadFrac() float64 {
 	return CellOverhead
 }
 
-// Ready implements anonnet.Anonymizer.
+// Ready implements anonnet.Transport.
 func (c *Client) Ready() bool { return c.ready }
 
 // SetGuardSeed makes guard selection a deterministic function of the
@@ -138,7 +138,7 @@ func (c *Client) Guard() string { return c.guard }
 // dirNode returns the directory authority: the first relay.
 func (c *Client) dirNode() string { return c.relays[0].NodeName }
 
-// Start implements anonnet.Anonymizer: the full Tor bootstrap.
+// Start implements anonnet.Transport: the full Tor bootstrap.
 func (c *Client) Start(p *sim.Proc) error {
 	if len(c.relays) < circuitHops {
 		return nymerr.Newf(anonnet.CodeNoExit, "tor: deployment has %d relays, need %d",
@@ -260,7 +260,7 @@ func (c *Client) pickMiddleAndExit() (middle, exit string, err error) {
 	return middle, exit, nil
 }
 
-// Fetch implements anonnet.Anonymizer: one stream over the circuit.
+// Fetch implements anonnet.Transport: one stream over the circuit.
 func (c *Client) Fetch(p *sim.Proc, req anonnet.Request) (anonnet.FetchResult, error) {
 	if !c.ready {
 		return anonnet.FetchResult{}, anonnet.ErrNotReady
@@ -299,7 +299,7 @@ func (c *Client) Fetch(p *sim.Proc, req anonnet.Request) (anonnet.FetchResult, e
 	}, nil
 }
 
-// Resolve implements anonnet.Anonymizer using Tor's built-in DNS:
+// Resolve implements anonnet.Transport using Tor's built-in DNS:
 // RESOLVE cells travel the circuit, so nothing leaks to the local
 // resolver.
 func (c *Client) Resolve(p *sim.Proc, host string) (string, error) {
@@ -318,7 +318,7 @@ func (c *Client) Resolve(p *sim.Proc, host string) (string, error) {
 	return node, nil
 }
 
-// ExitIdentity implements anonnet.Anonymizer.
+// ExitIdentity implements anonnet.Transport.
 func (c *Client) ExitIdentity() string {
 	if len(c.circuit) == 0 {
 		return ""
@@ -326,7 +326,7 @@ func (c *Client) ExitIdentity() string {
 	return c.circuit[len(c.circuit)-1]
 }
 
-// ExportState implements anonnet.Anonymizer: the guard and directory
+// ExportState implements anonnet.Transport: the guard and directory
 // freshness are the state worth persisting.
 func (c *Client) ExportState() anonnet.State {
 	st := anonnet.State{}
@@ -340,7 +340,7 @@ func (c *Client) ExportState() anonnet.State {
 	return st
 }
 
-// ImportState implements anonnet.Anonymizer.
+// ImportState implements anonnet.Transport.
 func (c *Client) ImportState(st anonnet.State) {
 	if g, ok := st["guard"]; ok {
 		c.guard = g
@@ -350,10 +350,10 @@ func (c *Client) ImportState(st anonnet.State) {
 	}
 }
 
-// Stop implements anonnet.Anonymizer.
+// Stop implements anonnet.Transport.
 func (c *Client) Stop() {
 	c.ready = false
 	c.circuit = nil
 }
 
-var _ anonnet.Anonymizer = (*Client)(nil)
+var _ anonnet.Transport = (*Client)(nil)

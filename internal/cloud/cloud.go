@@ -112,7 +112,7 @@ func (pr *Provider) BlobInfo(user, name string) (int64, bool) {
 type Session struct {
 	provider *Provider
 	acct     *account
-	anon     anonnet.Anonymizer
+	anon     anonnet.Transport
 	user     string
 }
 
@@ -129,7 +129,7 @@ const LoginWireBytes = loginExchangeBytes + 4096
 // The paper's workflow: "the Nym Manager navigates the user to the
 // cloud service, using the CommVM's anonymizer to protect this
 // connection, and prompts the user to login".
-func Login(p *sim.Proc, anon anonnet.Anonymizer, pr *Provider, user, password string) (*Session, error) {
+func Login(p *sim.Proc, anon anonnet.Transport, pr *Provider, user, password string) (*Session, error) {
 	if _, err := anon.Fetch(p, anonnet.Request{
 		SiteNode: pr.NodeName(), SendBytes: 4096, RecvBytes: loginExchangeBytes,
 	}); err != nil {

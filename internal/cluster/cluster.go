@@ -462,7 +462,7 @@ func (c *Cluster) Launch(spec fleet.Spec) error {
 		return nymerr.Newf(CodeDuplicateNym, "cluster: nym %q already launched", spec.Name)
 	}
 	fp := spec.Opts.Footprint()
-	rate := fleet.WireRateFor(spec.Opts)
+	rate := spec.Opts.WireRate()
 	feasible := false
 	for _, h := range c.hosts {
 		if fp <= h.orch.RAMBudgetBytes() && wireFits(h, rate) {
@@ -570,7 +570,7 @@ func (c *Cluster) watchRestored(h *Host, m *fleet.Member) {
 func (c *Cluster) dispatch() {
 	for len(c.pending) > 0 {
 		head := c.pending[0]
-		hosts := wireHosts(c.placeableHosts(), fleet.WireRateFor(head.spec.Opts))
+		hosts := wireHosts(c.placeableHosts(), head.spec.Opts.WireRate())
 		h := c.cfg.Policy.Pick(hosts, head.spec.Opts.Footprint())
 		if h == nil {
 			return

@@ -246,7 +246,7 @@ func TestSweepsInterleaveCrashMigrationPreemption(t *testing.T) {
 			if m == nil || m.Nym() == nil {
 				continue
 			}
-			gen := m.Nym().CheckpointGen()
+			gen := m.Nym().Cycles()
 			if gen < gens[name] {
 				t.Errorf("%s checkpoint generation went backwards: %d -> %d", name, gens[name], gen)
 			}

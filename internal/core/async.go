@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"nymix/internal/anonnet"
 	"nymix/internal/sim"
 	"nymix/internal/vault"
@@ -18,12 +20,13 @@ func (o Options) Footprint() int64 {
 	return o.AnonRAM + o.AnonDisk + o.CommRAM + o.CommDisk
 }
 
-// WireFootprint returns the idle uplink rate in bytes per second a
-// nymbox with these options holds on the host's wire even when no
-// request is in flight — the mixnet's constant-rate cover traffic.
-// Zero for demand-driven transports. Fleet wire admission reserves
-// against this figure the way RAM admission reserves Footprint.
-func (o Options) WireFootprint() float64 {
+// WireRate returns the idle uplink rate in whole bytes per second
+// (rounded up) a nymbox with these options holds on the host's wire
+// even when no request is in flight — its chain's constant-rate cover
+// traffic, such as the mixnet's. Zero for demand-driven transports.
+// Fleet wire admission reserves against this figure the way RAM
+// admission reserves Footprint.
+func (o Options) WireRate() int64 {
 	o.fillDefaults()
 	kinds := o.Chain
 	if len(kinds) == 0 {
@@ -33,7 +36,7 @@ func (o Options) WireFootprint() float64 {
 	for _, kind := range kinds {
 		sum += anonnet.IdleWireRate(kind)
 	}
-	return sum
+	return int64(math.Ceil(sum))
 }
 
 // TerminateNymAsync tears a nymbox down on its own simulated process.

@@ -252,7 +252,7 @@ type Nym struct {
 	opts    Options
 	anonVM  *vm.VM
 	commVM  *vm.VM
-	anon    anonnet.Anonymizer
+	anon    anonnet.Transport
 	browser *browser.Browser
 	phases  StartPhases
 	cycles  int
@@ -284,7 +284,7 @@ func (n *Nym) AnonVM() *vm.VM { return n.anonVM }
 func (n *Nym) CommVM() *vm.VM { return n.commVM }
 
 // Anonymizer returns the nym's communication tool.
-func (n *Nym) Anonymizer() anonnet.Anonymizer { return n.anon }
+func (n *Nym) Anonymizer() anonnet.Transport { return n.anon }
 
 // Browser returns the nym's browser.
 func (n *Nym) Browser() *browser.Browser { return n.browser }
@@ -292,7 +292,10 @@ func (n *Nym) Browser() *browser.Browser { return n.browser }
 // Phases returns the startup phase timings.
 func (n *Nym) Phases() StartPhases { return n.phases }
 
-// Cycles returns completed save/restore cycles.
+// Cycles returns completed save/restore cycles: the nym's checkpoint
+// generation. The counter persists inside the sealed state, so it is
+// monotonic per nym even across crash-restores and cross-host
+// migrations through the vault.
 func (n *Nym) Cycles() int { return n.cycles }
 
 // RestoreStats returns the vault download stats of the restore that
@@ -344,14 +347,6 @@ func (n *Nym) StateDirty() bool { return n.DirtyState().Dirty }
 func (n *Nym) DirtyDiskTotal() int64 {
 	return n.anonVM.DirtyStats().DiskBytes + n.commVM.DirtyStats().DiskBytes
 }
-
-// CheckpointGen returns the nym's checkpoint generation: how many
-// state checkpoints have been recorded over its lifetime. It is the
-// save-cycle counter (Cycles) under its scheduling-domain name — the
-// counter persists inside the sealed state, so the generation is
-// monotonic per nym even across crash-restores and cross-host
-// migrations through the vault.
-func (n *Nym) CheckpointGen() int { return n.Cycles() }
 
 // markClean records the given VM dirty snapshots as the nym's
 // checkpoint baseline. Callers snapshot the counters at export time,

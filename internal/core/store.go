@@ -271,7 +271,7 @@ type VaultDest struct {
 // vaultSessions opens one authenticated session per provider through
 // the given anonymizer, creating the pseudonymous accounts on first
 // use.
-func (m *Manager) vaultSessions(p *sim.Proc, anon anonnet.Anonymizer, dest VaultDest) ([]*cloud.Session, error) {
+func (m *Manager) vaultSessions(p *sim.Proc, anon anonnet.Transport, dest VaultDest) ([]*cloud.Session, error) {
 	if len(dest.Providers) == 0 {
 		return nil, nymerr.New(CodeNoVaultProviders, "vault destination names no providers")
 	}

@@ -330,7 +330,7 @@ func TestDirtyMarksFollowCheckpointLifecycle(t *testing.T) {
 		if nym.StateDirty() {
 			t.Errorf("nym dirty right after its checkpoint: %+v", nym.DirtyState())
 		}
-		gen := nym.CheckpointGen()
+		gen := nym.Cycles()
 		if _, err := nym.Visit(p, "twitter.com"); err != nil {
 			t.Errorf("visit: %v", err)
 			return
@@ -346,7 +346,7 @@ func TestDirtyMarksFollowCheckpointLifecycle(t *testing.T) {
 		if nym.StateDirty() {
 			t.Error("nym dirty after its delta checkpoint")
 		}
-		if got := nym.CheckpointGen(); got != gen+1 {
+		if got := nym.Cycles(); got != gen+1 {
 			t.Errorf("checkpoint generation = %d, want %d", got, gen+1)
 		}
 		if err := m.TerminateNym(p, nym); err != nil {
@@ -361,7 +361,7 @@ func TestDirtyMarksFollowCheckpointLifecycle(t *testing.T) {
 		if restored.StateDirty() {
 			t.Errorf("restored nym dirty: %+v — its state equals the checkpoint it came from", restored.DirtyState())
 		}
-		if got := restored.CheckpointGen(); got != gen+1 {
+		if got := restored.Cycles(); got != gen+1 {
 			t.Errorf("restored checkpoint generation = %d, want %d (persisted in the manifest)", got, gen+1)
 		}
 		if err := m.TerminateNym(p, restored); err != nil {

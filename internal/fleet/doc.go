@@ -18,11 +18,13 @@
 //   - Priority classes. Each launch carries a Priority (System >
 //     Persistent > Ephemeral, defaulting from the usage model), and
 //     the admission queue is strict priority-FIFO: higher classes are
-//     admitted first, equals keep arrival order. Under sustained
-//     pressure the preemption daemon sacrifices strictly-lower
-//     classes for a queued launch — ephemeral victims are terminated
-//     outright, persistent ones are checkpointed to the NymVault and
-//     evicted, so durable identity survives the kill.
+//     admitted first, equals keep arrival order. PreemptOne sacrifices
+//     one member of a strictly-lower class, cheapest first — ephemeral
+//     victims are terminated outright, persistent ones are
+//     checkpointed to the NymVault and evicted, so durable identity
+//     survives the kill. The host runs no preemption loop of its own:
+//     the cluster's preemption daemon decides when and on which host
+//     to call it.
 //   - Parallel pipelines. Startup and teardown run as independent
 //     simulated processes fanned out over sim futures, so wall-clock
 //     (simulated) time is bounded by the slowest admitted batch, not
@@ -47,7 +49,7 @@
 // reads each nym's dirty state (plumbed up from internal/vm through
 // core.Nym), skips clean members entirely — no upload, no login, no
 // provider round trip — and backs off exponentially while the
-// orchestrator is under admission pressure or preempting. Per-pass
+// orchestrator is under admission pressure. Per-pass
 // SweepRecords aggregate into a SweepReport (wire bytes, dirty-skip
 // ratio, p50/p95 sweep latency), and a per-member saving guard makes
 // the scheduler, SaveSweep, CheckpointNym, and preemption eviction

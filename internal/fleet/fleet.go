@@ -3,7 +3,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -38,13 +37,13 @@ type Config struct {
 	SaveStagger time.Duration
 	// SaveConcurrency caps in-flight saves during a sweep (default 4).
 	SaveConcurrency int
-	// Preempt arms the pressure-driven preemption daemon (disabled by
-	// default); see PreemptConfig.
+	// Preempt is the eviction channel PreemptOne vaults durable
+	// victims through; see PreemptConfig.
 	Preempt PreemptConfig
 	// WireBudget is the admissible idle uplink rate in bytes per
 	// second (0 = uncapped). Constant-rate transports (the mixnet's
 	// cover traffic) hold wire even when no request is in flight, so
-	// admission reserves each member's Options.WireFootprint against
+	// admission reserves each member's Options.WireRate against
 	// this budget the way RAM admission reserves Footprint.
 	WireBudget float64
 }
@@ -68,7 +67,6 @@ func (c *Config) fillDefaults() {
 	if c.SaveConcurrency <= 0 {
 		c.SaveConcurrency = 4
 	}
-	c.Preempt.fillDefaults()
 }
 
 // MemberState is a fleet member's lifecycle state.
@@ -111,9 +109,9 @@ func (s MemberState) String() string {
 
 // Priority is a launch's admission class. Higher classes are admitted
 // first: the admission queue is ordered by descending priority (FIFO
-// among equals), and under sustained pressure the preemption machinery
-// terminates or evicts strictly-lower-priority members to admit a
-// queued higher-priority launch.
+// among equals), and PreemptOne terminates or evicts a
+// strictly-lower-priority member to make room for a higher-priority
+// launch.
 type Priority int
 
 // Admission classes, lowest to highest. The zero value resolves from
@@ -344,12 +342,8 @@ type Orchestrator struct {
 	ops          int
 	ksmScheduled bool
 
-	// Preemption daemon state: the pressure clock (simulated time at
-	// which the current pressure episode began, -1 while clear), the
-	// daemon sequencing dwell and pass, and completed counts.
-	pressureSince sim.Time
-	preempt       *sim.Daemon
-	preempted     PreemptStats
+	// preempted counts completed preemptions.
+	preempted PreemptStats
 
 	// Sweep scheduler state (sweep.go): the installed config (nil
 	// while stopped), the armed tick timer, the current possibly
@@ -393,23 +387,16 @@ func New(mgr *core.Manager, cfg Config) *Orchestrator {
 		wireBudget = int64(cfg.WireBudget)
 	}
 	eng := mgr.Engine()
-	o := &Orchestrator{
-		mgr:           mgr,
-		eng:           eng,
-		cfg:           cfg,
-		ram:           newSem(eng, budget),
-		wire:          newSem(eng, wireBudget),
-		startGate:     newSem(eng, int64(max(startsPerCore*host.CPU().Config().Cores, 1))),
-		members:       make(map[string]*Member),
-		watchers:      sim.NewBroadcast(eng),
-		pressureSince: -1,
+	return &Orchestrator{
+		mgr:       mgr,
+		eng:       eng,
+		cfg:       cfg,
+		ram:       newSem(eng, budget),
+		wire:      newSem(eng, wireBudget),
+		startGate: newSem(eng, int64(max(startsPerCore*host.CPU().Config().Cores, 1))),
+		members:   make(map[string]*Member),
+		watchers:  sim.NewBroadcast(eng),
 	}
-	o.preempt = sim.NewDaemon(eng, "fleet/preempt", func() {
-		o.pressureSince = -1
-		o.notify()
-		o.schedulePreempt() // more queued classes may still need room
-	})
-	return o
 }
 
 // Manager returns the underlying Nym Manager.
@@ -494,13 +481,6 @@ func (o *Orchestrator) CountState(s MemberState) int {
 // Running returns the number of live members.
 func (o *Orchestrator) Running() int { return o.CountState(StateRunning) }
 
-// WireRateFor returns the integral idle uplink rate (bytes/sec) a nym
-// with these options reserves against a host's wire budget — its
-// chain's cover-traffic cost, rounded up to whole bytes.
-func WireRateFor(opts core.Options) int64 {
-	return int64(math.Ceil(opts.WireFootprint()))
-}
-
 // Launch enqueues one nym for admission and starts its supervision
 // process. It returns immediately; the launch proceeds on its own
 // simulated process. A footprint that can never fit the admissible
@@ -512,7 +492,7 @@ func (o *Orchestrator) Launch(spec Spec) (*Member, error) {
 	m := &Member{
 		spec:      spec,
 		footprint: spec.Opts.Footprint(),
-		wireRate:  WireRateFor(spec.Opts),
+		wireRate:  spec.Opts.WireRate(),
 		pri:       spec.EffectivePriority(),
 		state:     StateQueued,
 		queuedAt:  o.eng.Now(),
@@ -541,9 +521,6 @@ func (o *Orchestrator) Launch(spec Spec) (*Member, error) {
 	if m.wireRate > 0 {
 		m.pendingWire = o.wire.reservePri(m.wireRate, int(m.pri))
 	}
-	// A launch that queued is pressure the preemptor may act on; no
-	// state transition fires until admission, so arm it here.
-	o.schedulePreempt()
 	o.superviseLaunch(m, 0)
 	return m, nil
 }
@@ -760,7 +737,7 @@ func (o *Orchestrator) AwaitRunning(p *sim.Proc, target int) error {
 			return nymerr.Newf(CodeRampDead, "fleet: %d/%d running and no launches pending (%d failed)",
 				o.Running(), target, o.CountState(StateFailed))
 		}
-		if o.queueStalled() {
+		if o.QueueStalled() {
 			return nymerr.Newf(CodeAdmissionStalled, "fleet: %d/%d running and %d launches stalled in the admission queue (the FIFO head needs more RAM or wire than remains free)",
 				o.Running(), target, o.ram.queued()+o.wire.queued())
 		}
@@ -768,25 +745,16 @@ func (o *Orchestrator) AwaitRunning(p *sim.Proc, target int) error {
 	}
 }
 
-// QueueStalled reports whether the admission queue is stalled: only
-// queued members remain and nothing in flight will free or claim the
-// capacity their FIFO head needs. A cluster placement layer uses it
-// to tell "this host will admit its queue eventually" from "only an
-// external stop could unwedge this host".
-func (o *Orchestrator) QueueStalled() bool { return o.queueStalled() }
-
-// queueStalled reports that the only pending members are parked in
-// the RAM admission queue and nothing in flight will free or claim
+// QueueStalled reports that the only pending members are parked in
+// the admission queues and nothing in flight will free or claim
 // capacity: the semaphore admits strictly priority-FIFO, and a queue
 // is only non-empty when its head does not fit the free budget, so
 // without a Starting/Restarting/Stopping member (or a launch proc that
 // has not reached the queue yet) the fleet cannot make progress on its
-// own. An armed or in-flight preemption pass counts as progress: the
-// head's deficit is about to be freed by force.
-func (o *Orchestrator) queueStalled() bool {
-	if o.preempt.Busy() || o.needsPreempt() {
-		return false
-	}
+// own. A cluster placement layer uses it to tell "this host will admit
+// its queue eventually" from "only an external stop or preemption
+// could unwedge this host".
+func (o *Orchestrator) QueueStalled() bool {
 	queued := 0
 	for _, name := range o.order {
 		switch o.members[name].state {
@@ -869,13 +837,11 @@ func (o *Orchestrator) notify() {
 	o.watchers.Notify()
 }
 
-// setState transitions a member, keeps the KSM and preemption daemons
-// armed while they have work, and wakes everyone waiting on fleet
-// progress.
+// setState transitions a member, keeps the KSM daemon armed while it
+// has work, and wakes everyone waiting on fleet progress.
 func (o *Orchestrator) setState(m *Member, s MemberState) {
 	m.state = s
 	o.scheduleKSM()
-	o.schedulePreempt()
 	o.notify()
 }
 
@@ -1092,12 +1058,11 @@ func (o *Orchestrator) scheduleKSM() {
 	o.eng.Schedule(ksmInterval, func() {
 		o.ksmScheduled = false
 		o.sampleRAM() // capture the pre-merge spike
-		o.mgr.Host().KSMScan()
+		o.mgr.Host().Mem().ScanAll()
 		if o.needsKSM() {
 			o.scheduleKSM()
 			return
 		}
-		o.mgr.Host().Mem().ScanAll()
 		o.sampleRAM()
 	})
 }

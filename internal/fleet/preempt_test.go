@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"testing"
-	"time"
 
 	"nymix/internal/core"
 	"nymix/internal/sim"
@@ -18,16 +17,26 @@ func testVaultDest(m *Member) core.VaultDest {
 	}
 }
 
-// preemptCfg arms preemption with a short dwell and a vault channel
-// for persistent evictions.
+// preemptCfg gives preemption a vault channel for persistent
+// evictions.
 func preemptCfg() Config {
 	return Config{
 		Preempt: PreemptConfig{
-			Enabled:       true,
-			Dwell:         2 * time.Second,
 			VaultPassword: "fleet-pw",
 			DestFor:       testVaultDest,
 		},
+	}
+}
+
+// preemptFor sacrifices members below m's class one at a time until
+// the admission queue m waits in drains, re-reading the queue after
+// every kill the way the cluster's preemption pass re-reads its own:
+// a released reservation admits the head synchronously.
+func preemptFor(p *sim.Proc, o *Orchestrator, m *Member) {
+	for o.ram.queued() > 0 {
+		if o.PreemptOne(p, m.pri) == 0 {
+			return
+		}
 	}
 }
 
@@ -49,6 +58,7 @@ func TestPreemptionAdmitsHigherClass(t *testing.T) {
 		if err != nil {
 			t.Fatalf("launch system: %v", err)
 		}
+		preemptFor(p, o, m)
 		for m.State() != StateRunning && m.State() != StateFailed {
 			sim.Await(p, o.ChangeFuture())
 		}
@@ -99,6 +109,7 @@ func TestPreemptionOrderEphemeralBeforePersistent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("launch system: %v", err)
 		}
+		preemptFor(p, o, m)
 		for m.State() != StateRunning && m.State() != StateFailed {
 			sim.Await(p, o.ChangeFuture())
 		}
@@ -135,6 +146,7 @@ func TestPreemptionEvictsPersistentThroughVault(t *testing.T) {
 		if err != nil {
 			t.Fatalf("launch system: %v", err)
 		}
+		preemptFor(p, o, m)
 		for m.State() != StateRunning && m.State() != StateFailed {
 			sim.Await(p, o.ChangeFuture())
 		}
@@ -156,7 +168,7 @@ func TestPreemptionEvictsPersistentThroughVault(t *testing.T) {
 }
 
 // TestNoPreemptionWithoutVictims: a System launch queued above only
-// same-or-higher classes must not arm the preemptor; the queue stalls
+// same-or-higher classes finds no victim to preempt; the queue stalls
 // honestly and AwaitRunning errors instead of parking forever.
 func TestNoPreemptionWithoutVictims(t *testing.T) {
 	eng, o := newFleet(t, 37, 2<<30, preemptCfg())
@@ -172,9 +184,11 @@ func TestNoPreemptionWithoutVictims(t *testing.T) {
 		if err := o.AwaitRunning(p, 2); err != nil {
 			t.Fatalf("await filler: %v", err)
 		}
-		if _, err := o.Launch(Spec{Name: "third", Opts: smallOpts(core.ModelEphemeral), Priority: PrioritySystem}); err != nil {
+		third, err := o.Launch(Spec{Name: "third", Opts: smallOpts(core.ModelEphemeral), Priority: PrioritySystem})
+		if err != nil {
 			t.Fatalf("launch third: %v", err)
 		}
+		preemptFor(p, o, third)
 		awaitErr = o.AwaitRunning(p, 3)
 	})
 	if awaitErr == nil {
@@ -204,6 +218,7 @@ func TestPreemptionEvictsPreconfiguredThroughVault(t *testing.T) {
 		if err != nil {
 			t.Fatalf("launch system: %v", err)
 		}
+		preemptFor(p, o, m)
 		for m.State() != StateRunning && m.State() != StateFailed {
 			sim.Await(p, o.ChangeFuture())
 		}

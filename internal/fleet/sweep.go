@@ -6,14 +6,13 @@ package fleet
 // fires on an interval, reads each nym's dirty state (plumbed up from
 // internal/vm through core.Nym), skips clean members entirely — no
 // upload, no login, no provider round trip — and backs off
-// exponentially while the orchestrator is under admission pressure or
-// a preemption pass is armed, so checkpointing never competes with
-// ramps or evictions for the wire and the chip.
+// exponentially while the orchestrator is under admission pressure, so
+// checkpointing never competes with ramps for the wire and the chip.
 //
-// Unlike the KSM/preemption daemons, the sweep scheduler is
-// explicitly started and stopped (StartSweeps/StopSweeps): a periodic
-// checkpoint is open-ended work, so only the caller knows when the
-// fleet's useful life is over and the engine should drain.
+// Unlike the KSM daemon, the sweep scheduler is explicitly started
+// and stopped (StartSweeps/StopSweeps): a periodic checkpoint is
+// open-ended work, so only the caller knows when the fleet's useful
+// life is over and the engine should drain.
 
 import (
 	"errors"
@@ -38,15 +37,10 @@ type saveClaim struct{}
 
 // releaseClaim clears m's save claim if tok still holds it, waking
 // anyone parked on the flag. Releasing a claim another holder has
-// since taken is a no-op. The release also re-arms the preemption
-// daemon: victims() excludes saving members, so a pressure episode
-// that found every adequate victim mid-save disarmed itself and
-// nothing else would re-evaluate it — the freed member may be the
-// victim a parked launch is waiting on.
+// since taken is a no-op.
 func (o *Orchestrator) releaseClaim(m *Member, tok *saveClaim) {
 	if m.saving == tok {
 		m.saving = nil
-		o.schedulePreempt()
 		o.notify()
 	}
 }
@@ -113,11 +107,11 @@ func (c *SweepConfig) fillDefaults() {
 }
 
 // maxBackoff caps the exponential backoff applied while the
-// orchestrator is under admission pressure or preempting: 4x
-// Interval. It is also the staleness ceiling: once the delay is fully
-// backed off, ticks sweep even under pressure — pressure defers
-// checkpoints, it never cancels them, so a fleet pinned at capacity
-// still checkpoints at this cadence.
+// orchestrator is under admission pressure: 4x Interval. It is also
+// the staleness ceiling: once the delay is fully backed off, ticks
+// sweep even under pressure — pressure defers checkpoints, it never
+// cancels them, so a fleet pinned at capacity still checkpoints at
+// this cadence.
 func (c *SweepConfig) maxBackoff() time.Duration { return 4 * c.Interval }
 
 // SweepRecord is the telemetry of one scheduled sweep pass (or one
@@ -125,8 +119,8 @@ func (c *SweepConfig) maxBackoff() time.Duration { return 4 * c.Interval }
 type SweepRecord struct {
 	At      sim.Time      // when the pass started
 	Elapsed time.Duration // launch of first save to completion of last
-	// BackedOff marks a tick the scheduler skipped under admission or
-	// preemption pressure; all other fields are zero.
+	// BackedOff marks a tick the scheduler skipped under admission
+	// pressure; all other fields are zero.
 	BackedOff bool
 	Eligible  int // Running persistent members considered
 	Saves     int // checkpoints performed
@@ -277,11 +271,11 @@ func LatencyPercentile(ds []time.Duration, q float64) time.Duration {
 // StartSweeps installs the checkpoint sweep scheduler: the first pass
 // fires one Interval from now and the scheduler re-arms after every
 // pass until StopSweeps. While the orchestrator is under admission
-// pressure (launches queued for RAM) or a preemption pass is armed or
-// in flight, ticks are skipped and the delay doubles up to 4x Interval;
-// once saturated, ticks sweep even under pressure (the backoff ceiling
-// is also the checkpoint-staleness ceiling), and the first calm tick
-// resets the cadence.
+// pressure (launches queued for RAM or wire), ticks are skipped and
+// the delay doubles up to 4x Interval; once saturated, ticks sweep
+// even under pressure (the backoff ceiling is also the
+// checkpoint-staleness ceiling), and the first calm tick resets the
+// cadence.
 func (o *Orchestrator) StartSweeps(cfg SweepConfig) error {
 	if o.sweepCfg != nil {
 		return ErrSweepsRunning
@@ -317,11 +311,9 @@ func (o *Orchestrator) AwaitSweepsIdle(p *sim.Proc) {
 // underSavePressure reports the conditions under which the scheduler
 // stands aside: launches queued for RAM or wire admission (a ramp or
 // migration wants the wire and the chip first; cover-traffic budgets
-// count too) or the preemption machinery armed or mid-pass
-// (checkpointing a victim it is about to evict would race the
-// eviction's own save).
+// count too).
 func (o *Orchestrator) underSavePressure() bool {
-	return o.ram.queued() > 0 || o.wire.queued() > 0 || o.preempt.Busy()
+	return o.ram.queued() > 0 || o.wire.queued() > 0
 }
 
 // sweepTick is one scheduler firing.

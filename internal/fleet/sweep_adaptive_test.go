@@ -93,7 +93,7 @@ func TestAdaptiveCadenceDefersColdMembers(t *testing.T) {
 			return
 		}
 		hot, cold := o.Members()[0], o.Members()[1]
-		coldGen := cold.Nym().CheckpointGen()
+		coldGen := cold.Nym().Cycles()
 		cfg := SweepConfig{
 			Password: "pw", DestFor: sweepDest,
 			Adaptive:         true,
@@ -128,7 +128,7 @@ func TestAdaptiveCadenceDefersColdMembers(t *testing.T) {
 		if saves < 9 || saves > 10 {
 			t.Errorf("total saves = %d, want 9 or 10 (hot every round, cold once)", saves)
 		}
-		gotCold := cold.Nym().CheckpointGen() - coldGen
+		gotCold := cold.Nym().Cycles() - coldGen
 		if gotCold < 1 || gotCold > 2 {
 			t.Errorf("cold member saved %d times, want 1 or 2 (RPO-forced)", gotCold)
 		}

@@ -95,7 +95,7 @@ func TestSweepSavesOnlyDirtyMembers(t *testing.T) {
 			return
 		}
 		surfer := o.Members()[2]
-		gen := surfer.Nym().CheckpointGen()
+		gen := surfer.Nym().Cycles()
 		if _, err := surfer.Nym().Visit(p, "twitter.com"); err != nil {
 			t.Errorf("visit: %v", err)
 			return
@@ -117,7 +117,7 @@ func TestSweepSavesOnlyDirtyMembers(t *testing.T) {
 		if surfer.Nym().StateDirty() {
 			t.Error("nym still dirty after its sweep save")
 		}
-		if got := surfer.Nym().CheckpointGen(); got != gen+1 {
+		if got := surfer.Nym().Cycles(); got != gen+1 {
 			t.Errorf("checkpoint generation = %d, want %d", got, gen+1)
 		}
 		if _, ok := surfer.Checkpoint(); !ok {
@@ -236,7 +236,7 @@ func TestCheckpointNymWaitsForInFlightSweepSave(t *testing.T) {
 			t.Errorf("visit: %v", err)
 			return
 		}
-		gen := m.Nym().CheckpointGen()
+		gen := m.Nym().Cycles()
 
 		sweepDone := eng.Go("sweep", func(sp *sim.Proc) {
 			if _, err := o.SweepOnce(sp, SweepConfig{Password: "pw", DestFor: sweepDest}); err != nil {
@@ -254,7 +254,7 @@ func TestCheckpointNymWaitsForInFlightSweepSave(t *testing.T) {
 			return
 		}
 		sim.Await(p, sweepDone)
-		if got := m.Nym().CheckpointGen(); got != gen+2 {
+		if got := m.Nym().Cycles(); got != gen+2 {
 			t.Errorf("checkpoint generation = %d, want %d (two serialized saves)", got, gen+2)
 		}
 		for _, err := range o.SweepErrors() {

@@ -20,11 +20,11 @@ func mixOpts(name string) core.Options {
 }
 
 func TestWireBudgetAdmitsSequentially(t *testing.T) {
-	rate := WireRateFor(mixOpts("x"))
+	rate := mixOpts("x").WireRate()
 	if rate <= 0 {
 		t.Fatalf("mixnet wire rate = %d, want > 0", rate)
 	}
-	if r := WireRateFor(smallOpts(core.ModelEphemeral)); r != 0 {
+	if r := smallOpts(core.ModelEphemeral).WireRate(); r != 0 {
 		t.Fatalf("default transport wire rate = %d, want 0", r)
 	}
 
@@ -80,7 +80,7 @@ func TestWireBudgetAdmitsSequentially(t *testing.T) {
 }
 
 func TestWireBudgetNeverAdmissible(t *testing.T) {
-	rate := WireRateFor(mixOpts("x"))
+	rate := mixOpts("x").WireRate()
 	eng, o := newFleet(t, 53, 16<<30, Config{WireBudget: float64(rate) / 2})
 	run(t, eng, func(p *sim.Proc) {
 		_, err := o.Launch(Spec{Name: "amy", Opts: mixOpts("amy")})
@@ -114,16 +114,16 @@ func TestWireBudgetIgnoresDemandDriven(t *testing.T) {
 	})
 }
 
-// TestWireRateForMatchesRegistry pins the admission arithmetic to the
+// TestWireRateMatchesRegistry pins the admission arithmetic to the
 // transport registry's self-declared idle rates.
-func TestWireRateForMatchesRegistry(t *testing.T) {
+func TestWireRateMatchesRegistry(t *testing.T) {
 	opts := mixOpts("x")
-	if got, want := float64(WireRateFor(opts)), anonnet.IdleWireRate("mixnet"); got < want || got > want+1 {
-		t.Fatalf("WireRateFor = %v, want ceil of registry rate %v", got, want)
+	if got, want := float64(opts.WireRate()), anonnet.IdleWireRate("mixnet"); got < want || got > want+1 {
+		t.Fatalf("WireRate = %v, want ceil of registry rate %v", got, want)
 	}
 	chained := opts
 	chained.Chain = []string{"mixnet", "tor"}
-	if got := WireRateFor(chained); got != WireRateFor(opts) {
-		t.Fatalf("chain wire rate = %d, want mixnet-only %d (tor adds no standing rate)", got, WireRateFor(opts))
+	if got := chained.WireRate(); got != opts.WireRate() {
+		t.Fatalf("chain wire rate = %d, want mixnet-only %d (tor adds no standing rate)", got, opts.WireRate())
 	}
 }

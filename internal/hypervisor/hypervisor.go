@@ -158,7 +158,7 @@ const LANTag = "lan"
 // forward is the host's forwarding policy: CommVM wire <-> uplink
 // only, and never toward the local intranet. Everything else — VM to
 // VM, VM to hypervisor, intranet to VM — is silently dropped.
-func (h *Host) forward(in, out *vnet.Iface, proto string, dst *vnet.Node) bool {
+func (h *Host) forward(in, out *vnet.NIC, proto string, dst *vnet.Node) bool {
 	if in == nil || out == nil || h.uplink == nil {
 		return false
 	}
@@ -298,9 +298,6 @@ func (h *Host) MoveFile(from *vm.VM, fromPath string, to *vm.VM, toPath string) 
 	}
 	return nil
 }
-
-// KSMScan runs one KSM pass that drains the scan queue.
-func (h *Host) KSMScan() int { return h.mem.ScanAll() }
 
 // MemStats returns the host memory snapshot after letting KSM catch
 // up, which is how the Figure 3 measurements are taken.

@@ -259,7 +259,7 @@ func TestWrongPasswordOnManifest(t *testing.T) {
 // flakyAnon wraps a working anonymizer and, once down, fails every
 // exchange — a circuit collapse between login and fetch.
 type flakyAnon struct {
-	anonnet.Anonymizer
+	anonnet.Transport
 	down bool
 }
 
@@ -267,7 +267,7 @@ func (f *flakyAnon) Fetch(p *sim.Proc, req anonnet.Request) (anonnet.FetchResult
 	if f.down {
 		return anonnet.FetchResult{}, errors.New("anonymizer circuit collapsed")
 	}
-	return f.Anonymizer.Fetch(p, req)
+	return f.Transport.Fetch(p, req)
 }
 
 // Regression: a provider that HAS a manifest but cannot serve it used
@@ -279,7 +279,7 @@ func TestManifestProbeOutageIsNotNoManifest(t *testing.T) {
 	vs := NewStore("alice", Replicate, nil)
 	r.eng.Go("test", func(p *sim.Proc) {
 		r.relay.Start(p)
-		flaky := &flakyAnon{Anonymizer: r.relay}
+		flaky := &flakyAnon{Transport: r.relay}
 		sess, err := cloud.Login(p, flaky, r.providers[0], "acct", "cpw")
 		if err != nil {
 			t.Errorf("login: %v", err)

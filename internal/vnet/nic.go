@@ -1,20 +1,14 @@
 package vnet
 
 // NIC is one end of a link: the attachment point of a node. Every NIC
-// carries always-on byte counters — the simulation's ground truth for
+// reads always-on byte counters — the simulation's ground truth for
 // what actually crossed the wire at this attachment — and can be
 // decorated with WireTaps for interval accounting.
 type NIC struct {
 	node *Node
 	link *Link
 	taps []*WireTap
-	tx   float64 // bytes transmitted through this NIC since creation
-	rx   float64 // bytes received through this NIC since creation
 }
-
-// Iface is the NIC's historical name; consumer packages written
-// against the flat-star vnet use it interchangeably.
-type Iface = NIC
 
 // Node returns the NIC's node.
 func (i *NIC) Node() *Node { return i.node }
@@ -30,13 +24,23 @@ func (i *NIC) Peer() *NIC {
 	return i.link.a
 }
 
+// txDir returns the link direction this NIC transmits in.
+func (i *NIC) txDir() int {
+	if i.link.a == i {
+		return dirAB
+	}
+	return dirBA
+}
+
 // TxBytes returns the wire bytes transmitted through this NIC since
-// creation, credited as flows progress (not at completion).
-func (i *NIC) TxBytes() int64 { return round64(i.tx) }
+// creation, credited as flows progress (not at completion). A NIC
+// belongs to one link, so this is the link's counter in the NIC's
+// transmit direction.
+func (i *NIC) TxBytes() int64 { return round64(i.link.wire[i.txDir()]) }
 
 // RxBytes returns the wire bytes received through this NIC since
-// creation.
-func (i *NIC) RxBytes() int64 { return round64(i.rx) }
+// creation: the link's counter in the other direction.
+func (i *NIC) RxBytes() int64 { return round64(i.link.wire[1-i.txDir()]) }
 
 // WireTap attaches a byte tap to the NIC. The tap starts at zero and
 // accumulates from the moment of attachment, independent of the NIC's

@@ -197,8 +197,8 @@ func (n *Network) activate(t *Transfer) {
 }
 
 // settle advances the flow to now at its current rate, moving the
-// progressed bytes out of remaining and crediting them to every NIC,
-// tap, and link counter on the path.
+// progressed bytes out of remaining and crediting them to every link
+// counter and tap on the path.
 func (t *Transfer) settle(now sim.Time) {
 	elapsed := (now - t.lastUpdate).Seconds()
 	if elapsed > 0 && t.rate > 0 {
@@ -216,7 +216,8 @@ func (t *Transfer) settle(now sim.Time) {
 }
 
 // credit books moved wire bytes onto every hop of the path: the
-// link's directional counter, both NICs, and any attached taps.
+// link's directional counter (which both NICs read) and any attached
+// taps.
 func (t *Transfer) credit(moved float64) {
 	if moved <= 0 {
 		return
@@ -226,13 +227,10 @@ func (t *Transfer) credit(moved float64) {
 		h := &t.hops[i]
 		l := h.link
 		l.wire[h.dir] += moved
-		tx, rx := l.txNIC(h.dir), l.rxNIC(h.dir)
-		tx.tx += moved
-		rx.rx += moved
-		for _, w := range tx.taps {
+		for _, w := range l.txNIC(h.dir).taps {
 			w.tx += moved
 		}
-		for _, w := range rx.taps {
+		for _, w := range l.rxNIC(h.dir).taps {
 			w.rx += moved
 		}
 	}
