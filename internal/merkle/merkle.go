@@ -19,19 +19,16 @@ package merkle
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 
+	"nymix/internal/nymerr"
 	"nymix/internal/unionfs"
 )
 
 // Hash is a SHA-256 digest.
 type Hash [sha256.Size]byte
-
-// ErrTampered is returned when content fails verification.
-var ErrTampered = errors.New("merkle: content does not match the well-known root")
 
 // leafDigest hashes one file's identity and content. Virtual files
 // hash their size and entropy coefficient (their content identity in
@@ -132,7 +129,7 @@ type ProofStep struct {
 // Proof returns the membership proof for the i-th leaf.
 func (t *Tree) Proof(i int) ([]ProofStep, error) {
 	if i < 0 || i >= len(t.levels[0]) {
-		return nil, fmt.Errorf("merkle: leaf %d out of range", i)
+		return nil, nymerr.Newf(CodeLeafRange, "leaf %d out of range", i)
 	}
 	var proof []ProofStep
 	idx := i

@@ -26,19 +26,13 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"nymix/internal/anonnet"
 	"nymix/internal/unionfs"
-)
-
-// Errors.
-var (
-	ErrBadPassword = errors.New("nymstate: wrong password or corrupted archive")
-	ErrBadArchive  = errors.New("nymstate: malformed archive")
 )
 
 // gob assigns wire type IDs from a process-global registry in
@@ -212,32 +206,37 @@ func decodeState(r io.Reader) (*State, error) {
 	return st, nil
 }
 
-// DeriveKey is PBKDF2-HMAC-SHA256 (RFC 2898). Implemented here because
-// the standard library does not ship PBKDF2.
+// DeriveKey is PBKDF2-HMAC-SHA256 (RFC 8018). It stays hand-rolled
+// only until go.mod reaches go 1.24, whose crypto/pbkdf2 computes the
+// same bytes. As in x/crypto/pbkdf2, one HMAC keyed with the password
+// serves every block and iteration: Reset restores the keyed state and
+// Sum writes into a reused buffer, so the loop neither re-keys nor
+// allocates.
 func DeriveKey(password, salt []byte, iterations, outLen int) []byte {
 	if iterations < 1 {
 		iterations = 1
 	}
-	var out []byte
-	var block uint32
-	for len(out) < outLen {
-		block++
-		mac := hmac.New(sha256.New, password)
-		mac.Write(salt)
-		var be [4]byte
+	prf := hmac.New(sha256.New, password)
+	hashLen := prf.Size()
+	out := make([]byte, 0, (outLen+hashLen-1)/hashLen*hashLen)
+	u := make([]byte, 0, hashLen)
+	var be [4]byte
+	for block := uint32(1); len(out) < outLen; block++ {
+		prf.Reset()
+		prf.Write(salt)
 		binary.BigEndian.PutUint32(be[:], block)
-		mac.Write(be[:])
-		u := mac.Sum(nil)
-		acc := append([]byte(nil), u...)
+		prf.Write(be[:])
+		out = prf.Sum(out)
+		acc := out[len(out)-hashLen:]
+		u = append(u[:0], acc...)
 		for i := 1; i < iterations; i++ {
-			mac = hmac.New(sha256.New, password)
-			mac.Write(u)
-			u = mac.Sum(nil)
+			prf.Reset()
+			prf.Write(u)
+			u = prf.Sum(u[:0])
 			for j := range acc {
 				acc[j] ^= u[j]
 			}
 		}
-		out = append(out, acc...)
 	}
 	return out[:outLen]
 }
@@ -264,13 +263,40 @@ func VirtualWireSize(size int64, entropy float64) int64 {
 	return int64(float64(size) * (compressionFloor + (1-compressionFloor)*entropy))
 }
 
+// gzipWriters pools default-level gzip writers: a fresh one allocates
+// its ~1 MB compressor on every call, and Reset makes a pooled writer
+// produce exactly the bytes a fresh one would.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
+
+// GetGzipWriter returns a pooled default-level gzip writer reset to
+// write to w. Close it, then hand it back with PutGzipWriter.
+func GetGzipWriter(w io.Writer) *gzip.Writer {
+	zw := gzipWriters.Get().(*gzip.Writer)
+	zw.Reset(w)
+	return zw
+}
+
+// PutGzipWriter returns a writer from GetGzipWriter to the pool.
+func PutGzipWriter(zw *gzip.Writer) { gzipWriters.Put(zw) }
+
+// ByteCounter is an io.Writer that keeps only the number of bytes
+// written: the sink for a stream whose length is all that is priced.
+type ByteCounter int64
+
+// Write counts p.
+func (c *ByteCounter) Write(p []byte) (int, error) {
+	*c += ByteCounter(len(p))
+	return len(p), nil
+}
+
 // compressedSizeModel prices an image's content post-compression: real
 // bytes are measured exactly (by gzipping them), virtual bytes via
 // VirtualWireSize.
 func compressedSizeModel(images ...unionfs.Image) int64 {
 	var virtual int64
-	var real bytes.Buffer
-	zw := gzip.NewWriter(&real)
+	var real ByteCounter
+	zw := GetGzipWriter(&real)
+	defer PutGzipWriter(zw)
 	for _, img := range images {
 		// Walk files in sorted path order: gzip's output length depends
 		// on input order, and map iteration would make the same image
@@ -286,7 +312,7 @@ func compressedSizeModel(images ...unionfs.Image) int64 {
 		}
 	}
 	zw.Close()
-	return virtual + int64(real.Len())
+	return virtual + int64(real)
 }
 
 // gcmNonceLen and gcmTagLen are AES-GCM's standard sizes, used when
@@ -304,8 +330,9 @@ const (
 // comparison on every save — use this instead of paying PBKDF2+AES
 // for a value they never store.
 func EstimateArchiveWireSize(st *State) (int64, error) {
-	var plain bytes.Buffer
-	zw := gzip.NewWriter(&plain)
+	var plain ByteCounter
+	zw := GetGzipWriter(&plain)
+	defer PutGzipWriter(zw)
 	if err := encodeState(zw, st); err != nil {
 		return 0, fmt.Errorf("nymstate: encode: %w", err)
 	}
@@ -313,7 +340,7 @@ func EstimateArchiveWireSize(st *State) (int64, error) {
 		return 0, fmt.Errorf("nymstate: compress: %w", err)
 	}
 	return compressedSizeModel(st.AnonDisk, st.CommDisk) +
-		int64(plain.Len()) + gcmTagLen + saltLen + gcmNonceLen, nil
+		int64(plain) + gcmTagLen + saltLen + gcmNonceLen, nil
 }
 
 // RandSource supplies nonce/salt bytes (the simulation's deterministic
@@ -323,7 +350,8 @@ type RandSource interface{ Bytes(b []byte) }
 // Seal compresses and encrypts a nym state under the password.
 func Seal(st *State, password string, rnd RandSource) (*Archive, error) {
 	var plain bytes.Buffer
-	zw := gzip.NewWriter(&plain)
+	zw := GetGzipWriter(&plain)
+	defer PutGzipWriter(zw)
 	if err := encodeState(zw, st); err != nil {
 		return nil, fmt.Errorf("nymstate: encode: %w", err)
 	}

@@ -2,7 +2,13 @@ package nymstate
 
 import (
 	"bytes"
+	"compress/gzip"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"io"
 	"testing"
 	"testing/quick"
 
@@ -163,13 +169,135 @@ func TestDeriveKeyKnownProperties(t *testing.T) {
 	}
 }
 
-// PBKDF2-HMAC-SHA256 test vector (RFC 7914 section 11 / community
-// vectors): PBKDF2(P="passwd", S="salt", c=1, dkLen=64) prefix.
+// PBKDF2-HMAC-SHA256 test vectors of RFC 7914 section 11, all 64
+// bytes. The c=80000 vector runs the iteration loop; both span two
+// output blocks.
 func TestDeriveKeyRFCVector(t *testing.T) {
-	got := DeriveKey([]byte("passwd"), []byte("salt"), 1, 64)
-	want := []byte{0x55, 0xac, 0x04, 0x6e, 0x56, 0xe3, 0x08, 0x9f}
-	if !bytes.Equal(got[:8], want) {
-		t.Fatalf("PBKDF2 vector mismatch: got %x", got[:8])
+	for _, v := range []struct {
+		password, salt string
+		iterations     int
+		want           string
+	}{
+		{"passwd", "salt", 1, "55ac046e56e3089fec1691c22544b605f94185216dde0465e68b9d57c20dacbc" +
+			"49ca9cccf179b645991664b39d77ef317c71b845b1e30bd509112041d3a19783"},
+		{"Password", "NaCl", 80000, "4ddcd8f60b98be21830cee5ef22701f9641a4418d04c0414aeff08876b34ab56" +
+			"a1d425a1225833549adb841b51c9b3176a272bdebba1d078478f62b397f33c8d"},
+	} {
+		got := hex.EncodeToString(DeriveKey([]byte(v.password), []byte(v.salt), v.iterations, 64))
+		if got != v.want {
+			t.Errorf("PBKDF2(%q, %q, c=%d):\ngot  %s\nwant %s", v.password, v.salt, v.iterations, got, v.want)
+		}
+	}
+}
+
+// deriveKeyRef is the previous DeriveKey, which built a fresh HMAC for
+// every block and iteration: the oracle the reused-HMAC loop must
+// match byte for byte.
+func deriveKeyRef(password, salt []byte, iterations, outLen int) []byte {
+	if iterations < 1 {
+		iterations = 1
+	}
+	var out []byte
+	var block uint32
+	for len(out) < outLen {
+		block++
+		mac := hmac.New(sha256.New, password)
+		mac.Write(salt)
+		var be [4]byte
+		binary.BigEndian.PutUint32(be[:], block)
+		mac.Write(be[:])
+		u := mac.Sum(nil)
+		acc := append([]byte(nil), u...)
+		for i := 1; i < iterations; i++ {
+			mac = hmac.New(sha256.New, password)
+			mac.Write(u)
+			u = mac.Sum(nil)
+			for j := range acc {
+				acc[j] ^= u[j]
+			}
+		}
+		out = append(out, acc...)
+	}
+	return out[:outLen]
+}
+
+func TestDeriveKeyMatchesFreshHMACOracle(t *testing.T) {
+	rnd := sim.NewRand(17)
+	for trial := 0; trial < 4; trial++ {
+		// Password lengths straddle the 64-byte HMAC block size, where
+		// the key is hashed instead of padded.
+		password := make([]byte, rnd.Intn(100))
+		salt := make([]byte, rnd.Intn(40))
+		rnd.Bytes(password)
+		rnd.Bytes(salt)
+		for _, iterations := range []int{1, 2, 3, KDFIterations} {
+			for _, outLen := range []int{1, 31, 32, 33, 64, 100} {
+				got := DeriveKey(password, salt, iterations, outLen)
+				want := deriveKeyRef(password, salt, iterations, outLen)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("password %x salt %x c=%d len=%d:\ngot  %x\nwant %x",
+						password, salt, iterations, outLen, got, want)
+				}
+			}
+		}
+	}
+}
+
+// estimateArchiveWireSizeRef is the previous EstimateArchiveWireSize,
+// with a fresh gzip writer and buffer per stream.
+func estimateArchiveWireSizeRef(st *State) int64 {
+	var plain bytes.Buffer
+	zw := gzip.NewWriter(&plain)
+	if err := encodeState(zw, st); err != nil {
+		panic(err)
+	}
+	zw.Close()
+	var virtual int64
+	var real bytes.Buffer
+	rw := gzip.NewWriter(&real)
+	for _, img := range []unionfs.Image{st.AnonDisk, st.CommDisk} {
+		for _, path := range SortedPaths(img.Files) {
+			f := img.Files[path]
+			if f.Real {
+				rw.Write([]byte(path))
+				rw.Write(f.Data)
+				continue
+			}
+			virtual += VirtualWireSize(f.VirtualSize, f.Entropy)
+		}
+	}
+	rw.Close()
+	return virtual + int64(real.Len()) + int64(plain.Len()) + gcmTagLen + saltLen + gcmNonceLen
+}
+
+// dirtyPool leaves a pooled gzip writer mid-stream on unrelated input,
+// so the next GetGzipWriter hands out a writer whose window, hash
+// chains and header state all need Reset.
+func dirtyPool(seed uint64) {
+	junk := make([]byte, 70<<10)
+	sim.NewRand(seed).Bytes(junk[:len(junk)/2])
+	zw := GetGzipWriter(io.Discard)
+	zw.Name = "dirty"
+	zw.Write(junk)
+	PutGzipWriter(zw)
+}
+
+func TestPooledGzipMatchesFreshWriter(t *testing.T) {
+	states := []*State{sampleState(), {Name: "empty"}}
+	big := sampleState()
+	big.CommDisk.Files["/var/lib/tor/state"] = unionfs.FileImage{Real: true, Data: bytes.Repeat([]byte("relay "), 20000)}
+	states = append(states, big)
+	for i, st := range states {
+		for round := 0; round < 3; round++ {
+			dirtyPool(uint64(10*i + round))
+			got, err := EstimateArchiveWireSize(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := estimateArchiveWireSizeRef(st); got != want {
+				t.Fatalf("state %d round %d: pooled estimate %d, fresh-writer estimate %d", i, round, got, want)
+			}
+		}
 	}
 }
 
@@ -228,18 +356,13 @@ func TestEstimateArchiveWireSizeMatchesSeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// gob walks maps in nondeterministic order, so two encodings of
-	// the same state can gzip to slightly different lengths; the
-	// estimate only has to agree to within that noise.
+	// State is encoded from sorted slices, so the estimate prices the
+	// very bytes Seal compresses and must match it exactly.
 	got, err := EstimateArchiveWireSize(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff := got - arch.WireSize
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > 256 {
-		t.Fatalf("estimate %d vs sealed wire size %d (|diff| %d > 256)", got, arch.WireSize, diff)
+	if got != arch.WireSize {
+		t.Fatalf("estimate %d vs sealed wire size %d", got, arch.WireSize)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"maps"
 	"strings"
@@ -104,14 +105,27 @@ type Manifest struct {
 
 // keys is the per-nym vault key material derived from the password:
 // one key for sealing chunks and the manifest, one for addressing.
+// addr is HMAC-SHA256 keyed with mac, built once by deriveKeys and
+// Reset before every chunk address and nonce; buf is its scratch
+// space. A keys value belongs to the one Save, Load or GC call that
+// derived it: it is never cached beyond that call and never shared
+// across goroutines.
 type keys struct {
-	enc []byte
-	mac []byte
+	enc  []byte
+	mac  []byte
+	addr hash.Hash
+	buf  []byte
 }
 
-func deriveKeys(password, name string) keys {
+func deriveKeys(password, name string) *keys {
 	raw := nymstate.DeriveKey([]byte(password), []byte("nymix-vault-v1\x00"+name), nymstate.KDFIterations, 64)
-	return keys{enc: raw[:32], mac: raw[32:]}
+	return &keys{enc: raw[:32], mac: raw[32:], addr: hmac.New(sha256.New, raw[32:])}
+}
+
+// sum finishes the address MAC into ks.buf and returns it.
+func (ks *keys) sum() Addr {
+	ks.buf = ks.addr.Sum(ks.buf[:0])
+	return Addr(ks.buf)
 }
 
 // chunkSealOverhead is the stored per-chunk overhead: the 16-byte GCM
@@ -119,13 +133,11 @@ func deriveKeys(password, name string) keys {
 const chunkSealOverhead = 16
 
 // realAddr addresses a real chunk by its bytes.
-func (ks keys) realAddr(data []byte) Addr {
-	mac := hmac.New(sha256.New, ks.mac)
-	mac.Write([]byte("real\x00"))
-	mac.Write(data)
-	var a Addr
-	copy(a[:], mac.Sum(nil))
-	return a
+func (ks *keys) realAddr(data []byte) Addr {
+	ks.addr.Reset()
+	ks.addr.Write([]byte("real\x00"))
+	ks.addr.Write(data)
+	return ks.sum()
 }
 
 // virtAddr addresses a virtual segment by (disk, path, segment index,
@@ -136,32 +148,30 @@ func (ks keys) realAddr(data []byte) Addr {
 // addresses stable, so the vault does too. Entropy still restores
 // exactly (it rides in the sealed manifest's FileEntry) and prices the
 // segment's wire size; only the dedup identity ignores it.
-func (ks keys) virtAddr(disk int, path string, seg int, size int64) Addr {
-	mac := hmac.New(sha256.New, ks.mac)
-	mac.Write([]byte("virt\x00"))
-	mac.Write([]byte{byte(disk)})
-	mac.Write([]byte(path))
-	var meta [16]byte
-	binary.BigEndian.PutUint64(meta[0:8], uint64(seg))
-	binary.BigEndian.PutUint64(meta[8:16], uint64(size))
-	mac.Write(meta[:])
-	var a Addr
-	copy(a[:], mac.Sum(nil))
-	return a
+func (ks *keys) virtAddr(disk int, path string, seg int, size int64) Addr {
+	b := append(ks.buf[:0], "virt\x00"...)
+	b = append(b, byte(disk))
+	b = append(b, path...)
+	b = binary.BigEndian.AppendUint64(b, uint64(seg))
+	b = binary.BigEndian.AppendUint64(b, uint64(size))
+	ks.buf = b
+	ks.addr.Reset()
+	ks.addr.Write(b)
+	return ks.sum()
 }
 
 // sealChunk encrypts a real chunk convergently: AES-256-GCM with the
 // nonce derived from the address, so identical content always yields
 // an identical blob. The AEAD is hoisted by the caller (one per
 // Save/Load, not one per chunk).
-func (ks keys) sealChunk(gcm cipher.AEAD, addr Addr, data []byte) []byte {
+func (ks *keys) sealChunk(gcm cipher.AEAD, addr Addr, data []byte) []byte {
 	return gcm.Seal(nil, ks.chunkNonce(addr, gcm.NonceSize()), data, addr[:])
 }
 
 // openChunk decrypts and authenticates a real chunk blob. Because the
 // manifest already authenticated under the password, a failure here is
 // tamper evidence, reported as merkle.ErrTampered.
-func (ks keys) openChunk(gcm cipher.AEAD, addr Addr, blob []byte) ([]byte, error) {
+func (ks *keys) openChunk(gcm cipher.AEAD, addr Addr, blob []byte) ([]byte, error) {
 	plain, err := gcm.Open(nil, ks.chunkNonce(addr, gcm.NonceSize()), blob, addr[:])
 	if err != nil {
 		return nil, nymerr.Wrapf(CodeTampered, merkle.ErrTampered, "chunk %s", addr)
@@ -169,7 +179,7 @@ func (ks keys) openChunk(gcm cipher.AEAD, addr Addr, blob []byte) ([]byte, error
 	return plain, nil
 }
 
-func (ks keys) aead() (cipher.AEAD, error) {
+func (ks *keys) aead() (cipher.AEAD, error) {
 	block, err := aes.NewCipher(ks.enc)
 	if err != nil {
 		return nil, err
@@ -177,11 +187,14 @@ func (ks keys) aead() (cipher.AEAD, error) {
 	return cipher.NewGCM(block)
 }
 
-func (ks keys) chunkNonce(addr Addr, n int) []byte {
-	mac := hmac.New(sha256.New, ks.mac)
-	mac.Write([]byte("nonce\x00"))
-	mac.Write(addr[:])
-	return mac.Sum(nil)[:n]
+// chunkNonce derives a chunk's GCM nonce from its address. The result
+// aliases ks.buf, so it is valid only until the next address or nonce.
+func (ks *keys) chunkNonce(addr Addr, n int) []byte {
+	ks.addr.Reset()
+	ks.addr.Write([]byte("nonce\x00"))
+	ks.addr.Write(addr[:])
+	ks.sum()
+	return ks.buf[:n]
 }
 
 // Index is the per-nym local cache of which chunk addresses each
@@ -317,7 +330,7 @@ type chunked struct {
 // chunkState cuts both disk images into chunks, deduplicating within
 // the state. Files are walked in sorted path order so the manifest is
 // deterministic for identical content.
-func chunkState(st *nymstate.State, ks keys) chunked {
+func chunkState(st *nymstate.State, ks *keys) chunked {
 	c := chunked{data: make(map[Addr][]byte)}
 	seen := make(map[Addr]int)
 	// mk builds the ChunkRef lazily: a duplicate occurrence (the same
@@ -395,11 +408,12 @@ func (v *Store) priceChunks(c *chunked, sessions []*cloud.Session) {
 
 // gzipLen measures a chunk's compressed size exactly.
 func gzipLen(data []byte) int64 {
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
+	var n nymstate.ByteCounter
+	zw := nymstate.GetGzipWriter(&n)
+	defer nymstate.PutGzipWriter(zw)
 	zw.Write(data)
 	zw.Close()
-	return int64(buf.Len())
+	return int64(n)
 }
 
 // chunkLeaves converts the chunk list to Merkle leaves (the address is
@@ -528,7 +542,7 @@ func (v *Store) Save(p *sim.Proc, st *nymstate.State, password string, sessions 
 // The returned error distinguishes "no manifest anywhere" from "a
 // manifest exists but the password cannot open it"; wire reports the
 // manifest bytes downloaded while looking.
-func (v *Store) latestManifest(p *sim.Proc, ks keys, sessions []*cloud.Session) (man *Manifest, wire int64, err error) {
+func (v *Store) latestManifest(p *sim.Proc, ks *keys, sessions []*cloud.Session) (man *Manifest, wire int64, err error) {
 	var best *Manifest
 	var openErr, fetchErr error
 	for _, sess := range sessions {
@@ -704,7 +718,7 @@ func (v *Store) Load(p *sim.Proc, password string, sessions []*cloud.Session) (*
 // list itself generates would verify nothing — proofs only earn
 // their keep if a future partial-restore path fetches a chunk list
 // subset from an untrusted intermediary.
-func verifyChunk(ks keys, gcm cipher.AEAD, r ChunkRef, blob cloud.Blob, plain map[Addr][]byte) error {
+func verifyChunk(ks *keys, gcm cipher.AEAD, r ChunkRef, blob cloud.Blob, plain map[Addr][]byte) error {
 	if r.Virtual {
 		return nil // no bytes exist; identity is the manifest entry itself
 	}
@@ -850,7 +864,7 @@ type manifestWire struct {
 // sealManifest serializes, compresses, and seals a manifest. The blob
 // layout is nonce || ciphertext; the AAD binds the nym name so a
 // manifest cannot be replayed under another nym.
-func sealManifest(man *Manifest, ks keys, rnd nymstate.RandSource) (cloud.Blob, error) {
+func sealManifest(man *Manifest, ks *keys, rnd nymstate.RandSource) (cloud.Blob, error) {
 	wireForm := manifestWire{
 		Name: man.Name, Model: man.Model, Cycles: man.Cycles, Seq: man.Seq,
 		AnonDiskName: man.AnonDiskName, CommDiskName: man.CommDiskName,
@@ -859,7 +873,8 @@ func sealManifest(man *Manifest, ks keys, rnd nymstate.RandSource) (cloud.Blob, 
 		Files:     man.Files, Chunks: man.Chunks, Root: man.Root,
 	}
 	var plainBuf bytes.Buffer
-	zw := gzip.NewWriter(&plainBuf)
+	zw := nymstate.GetGzipWriter(&plainBuf)
+	defer nymstate.PutGzipWriter(zw)
 	if err := gob.NewEncoder(zw).Encode(&wireForm); err != nil {
 		return cloud.Blob{}, fmt.Errorf("vault: encode manifest: %w", err)
 	}
@@ -879,7 +894,7 @@ func sealManifest(man *Manifest, ks keys, rnd nymstate.RandSource) (cloud.Blob, 
 
 // openManifest reverses sealManifest; keys derived from a wrong
 // password fail authentication with nymstate.ErrBadPassword.
-func openManifest(data []byte, ks keys, name string) (*Manifest, error) {
+func openManifest(data []byte, ks *keys, name string) (*Manifest, error) {
 	gcm, err := ks.aead()
 	if err != nil {
 		return nil, err

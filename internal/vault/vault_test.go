@@ -29,7 +29,7 @@ type rig struct {
 	relay     *incognito.Relay
 }
 
-func newRig(t *testing.T, quota int64) *rig {
+func newRig(t testing.TB, quota int64) *rig {
 	t.Helper()
 	eng := sim.NewEngine(71)
 	net, world := webworld.BuildDefault(eng)
@@ -50,7 +50,7 @@ func newRig(t *testing.T, quota int64) *rig {
 
 // run executes fn as a sim process and drains the engine, with the
 // relay started and sessions to n providers opened.
-func (r *rig) run(t *testing.T, n int, fn func(p *sim.Proc, sessions []*cloud.Session)) {
+func (r *rig) run(t testing.TB, n int, fn func(p *sim.Proc, sessions []*cloud.Session)) {
 	t.Helper()
 	r.eng.Go("test", func(p *sim.Proc) {
 		r.relay.Start(p)
